@@ -71,6 +71,7 @@ from repro.atpg.engine import AtpgEngine, make_solver
 from repro.atpg.fault_sim import FaultSimulator, fault_simulate
 from repro.atpg.faults import collapse_faults
 from repro.atpg.miter import UnobservableFault, build_atpg_circuit
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import pack_patterns, simulate
@@ -181,7 +182,10 @@ def test_perf_smoke():
     # solver_mode="fresh" pins each call to a cold start, so the timing
     # delta isolates the encoding-cache + batched-dropping engine work.
     gc.collect()
-    engine = AtpgEngine(network, order="given", solver_mode="fresh")
+    engine = AtpgEngine(
+        network,
+        AtpgOptions(order="given", solver_mode="fresh"),
+    )
     start = time.perf_counter()
     cpu_start = time.process_time()
     batched = engine.run(faults=faults)
@@ -194,7 +198,7 @@ def test_perf_smoke():
     # and on a one-core CI box process_time is immune to the wall-clock
     # noise of whatever else the host is running.
     gc.collect()
-    inc_engine = AtpgEngine(network, order="given")
+    inc_engine = AtpgEngine(network, AtpgOptions(order="given"))
     start = time.perf_counter()
     cpu_start = time.process_time()
     incremental = inc_engine.run(faults=faults)
@@ -202,7 +206,7 @@ def test_perf_smoke():
     incremental_time = time.perf_counter() - start
 
     gc.collect()
-    par_engine = ParallelAtpgEngine(network, workers=2)
+    par_engine = ParallelAtpgEngine(network, AtpgOptions(workers=2))
     start = time.perf_counter()
     parallel = par_engine.run(faults=faults)
     parallel_time = time.perf_counter() - start
@@ -211,7 +215,10 @@ def test_perf_smoke():
     # checked DRUP refutation (or cross-solver agreement) for every
     # UNTESTABLE one, on top of the default incremental mode.
     gc.collect()
-    cert_engine = AtpgEngine(network, order="given", certify="full")
+    cert_engine = AtpgEngine(
+        network,
+        AtpgOptions(order="given", certify="full"),
+    )
     start = time.perf_counter()
     cpu_start = time.process_time()
     certified = cert_engine.run(faults=faults)
@@ -275,13 +282,19 @@ def test_perf_smoke():
     gc.collect()
     start = time.perf_counter()
     cpu_start = time.process_time()
-    tmr_on = AtpgEngine(tmr, share_learned="cone").run(fault_dropping=False)
+    tmr_on = AtpgEngine(
+        tmr,
+        AtpgOptions(share_learned="cone", fault_dropping=False),
+    ).run()
     tmr_on_cpu = time.process_time() - cpu_start
     tmr_on_time = time.perf_counter() - start
     gc.collect()
     start = time.perf_counter()
     cpu_start = time.process_time()
-    tmr_off = AtpgEngine(tmr, share_learned="off").run(fault_dropping=False)
+    tmr_off = AtpgEngine(
+        tmr,
+        AtpgOptions(share_learned="off", fault_dropping=False),
+    ).run()
     tmr_off_cpu = time.process_time() - cpu_start
     tmr_off_time = time.perf_counter() - start
 

@@ -39,7 +39,7 @@ def run_flow(circuit, n_random: int = 8) -> None:
 
     # Phase 2: deterministic SAT-based ATPG on the survivors.
     engine = AtpgEngine(circuit)
-    summary = engine.run(faults=screened.undetected, fault_dropping=True)
+    summary = engine.run(faults=screened.undetected)
     tested = summary.by_status(FaultStatus.TESTED)
     dropped = summary.by_status(FaultStatus.DROPPED)
     redundant = summary.by_status(FaultStatus.UNTESTABLE)

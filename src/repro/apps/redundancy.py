@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.options import AtpgOptions
 from repro.atpg.faults import Fault, collapse_faults
 from repro.circuits.gates import GateType
 from repro.circuits.network import Network
@@ -46,7 +47,9 @@ def _find_redundancy(
 ) -> Optional[Fault]:
     """The first provably untestable non-PI fault, or None."""
     inputs = set(network.inputs)
-    engine = AtpgEngine(network, solver=solver, validate=False)
+    engine = AtpgEngine(
+        network, AtpgOptions(solver=solver, validate=False)
+    )
     constants = (GateType.CONST0, GateType.CONST1)
     for fault in collapse_faults(network):
         if fault.net in inputs:

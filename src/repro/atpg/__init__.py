@@ -1,4 +1,9 @@
-"""ATPG substrate: faults, miters, SAT-based generation, fault simulation."""
+"""ATPG substrate: faults, miters, SAT-based generation, fault simulation.
+
+The seed-grade PODEM engine (:mod:`repro.atpg.podem`) is a test oracle
+for the SAT engine, not part of this package's API; import it from its
+module.
+"""
 
 from repro.atpg.compaction import (
     coverage_of,
@@ -23,7 +28,9 @@ from repro.atpg.engine import (
     FaultStatus,
     RunHealth,
     make_solver,
+    run_atpg,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.supervisor import (
     FailedShard,
     ShardSupervisor,
@@ -50,7 +57,6 @@ from repro.atpg.faults import (
     full_fault_list,
     inject_fault,
 )
-from repro.atpg.podem import PodemEngine, PodemResult, PodemStatus
 from repro.atpg.miter import (
     AtpgCircuit,
     UnobservableFault,
@@ -67,6 +73,7 @@ __all__ = [
     "ABORT_SHARD_TIMEOUT",
     "AtpgCircuit",
     "AtpgEngine",
+    "AtpgOptions",
     "AtpgRecord",
     "AtpgSummary",
     "CheckpointError",
@@ -83,9 +90,6 @@ __all__ = [
     "SupervisorReport",
     "load_checkpoint",
     "resumable_records",
-    "PodemEngine",
-    "PodemResult",
-    "PodemStatus",
     "UnobservableFault",
     "atpg_sat_formula",
     "build_atpg_circuit",
@@ -104,5 +108,6 @@ __all__ = [
     "random_pattern_coverage",
     "shard_faults_by_cone",
     "reverse_order_compaction",
+    "run_atpg",
     "simulate_fault",
 ]

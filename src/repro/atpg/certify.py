@@ -57,11 +57,10 @@ from repro.atpg.miter import (
     build_atpg_circuit,
     build_fault_delta,
 )
+from repro.atpg.options import CERTIFY_MODES  # noqa: F401  (re-export)
 from repro.atpg.supervisor import (
-    ABORT_BUDGET,
     ABORT_CERTIFICATION,
     ABORT_DEADLINE,
-    ABORT_MEM,
     ABORT_SOLVER,
 )
 from repro.circuits.network import Network
@@ -69,13 +68,10 @@ from repro.sat.cdcl import CdclCore
 from repro.sat.compile import compile_formula
 from repro.sat.drup import DrupLog, check_drup
 from repro.sat.incremental import IncrementalSatSolver
-from repro.sat.result import SatStatus
+from repro.sat.result import SatResult, SatStatus
 
 if TYPE_CHECKING:  # circular at runtime: engine imports this module
     from repro.atpg.engine import AtpgEngine, AtpgRecord, EngineStats
-
-#: Valid values for the engine/CLI ``certify`` knob.
-CERTIFY_MODES = ("off", "witness", "full")
 
 #: Ladder rungs, in escalation order.  ``primary`` is whatever the
 #: engine is configured to run (incremental per-cone solvers by
@@ -194,9 +190,12 @@ class EscalationLadder:
 
             if record.status is FaultStatus.TESTED:
                 sat_claims += 1
-                if record.test is not None and witness_ok(
+                replay_start = time.perf_counter()
+                witnessed = record.test is not None and witness_ok(
                     engine.network, fault, record.test
-                ):
+                )
+                stats.fsim_time += time.perf_counter() - replay_start
+                if witnessed:
                     record.certified = True
                     if unsat_claims:
                         health.disagreements += 1
@@ -317,9 +316,13 @@ class EscalationLadder:
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
-        solver, relevant, base_clauses = self._replay_solver(
-            observing, stats
-        )
+        # Replay-solver setup falls inside the build interval.
+        entry = self._replay_cones.get(observing)
+        if entry is None:
+            entry = self._replay_cones[observing] = engine.build_cone_solver(
+                observing
+            )
+        solver, relevant, base_clauses = entry
         delta = build_fault_delta(
             engine.network,
             fault,
@@ -336,70 +339,24 @@ class EscalationLadder:
 
         result = solver.solve(
             group,
-            max_conflicts=engine.max_conflicts,
+            max_conflicts=engine.options.max_conflicts,
             deadline_at=engine._deadline_at,
-            mem_budget_mb=engine.mem_budget_mb,
+            mem_budget_mb=engine.options.mem_budget_mb,
             model_names=engine.network.inputs,
         )
         solver.retire(group)
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += 1
-        stats.propagations += result.stats.propagations
-        stats.decisions += result.stats.decisions
-        stats.conflicts += result.stats.conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=num_variables,
-            num_clauses=base_clauses + group.num_clauses,
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=result.stats.decisions,
-            conflicts=result.stats.conflicts,
-            propagations=result.stats.propagations,
+        record = engine._finished_record(
+            fault,
+            stats,
+            [result],
+            (num_variables, base_clauses + group.num_clauses),
+            (start, built, encoded),
         )
-        if result.status is SatStatus.SAT:
-            assert result.assignment is not None
-            record.status = FaultStatus.TESTED
-            record.test = engine._extract_test(result.assignment)
-        elif result.status is SatStatus.UNSAT:
-            record.status = FaultStatus.UNTESTABLE
-        else:
-            record.abort_reason = self._unknown_reason(result.stats)
         return record, None
 
-    def _replay_solver(
-        self, observing: tuple[str, ...], stats: "EngineStats"
-    ) -> tuple[IncrementalSatSolver, set[str], int]:
-        """The ladder's persistent replay solver for one observing cone
-        (built exactly like the engine's, but never shared with it)."""
-        entry = self._replay_cones.get(observing)
-        if entry is None:
-            engine = self.engine
-            setup_start = time.perf_counter()
-            relevant = engine.network.transitive_fanin(observing)
-            clauses = []
-            encode = engine._encoding_cache.gate_clauses
-            gate = engine.network.gate
-            for net in engine._topo_order():
-                if net in relevant:
-                    clauses.extend(encode(gate(net)))
-            solver = IncrementalSatSolver()
-            solver.add_base(clauses)
-            entry = (solver, relevant, len(clauses))
-            self._replay_cones[observing] = entry
-            stats.encode_time += time.perf_counter() - setup_start
-        return entry
-
-    def _miter_formula(self, fault: Fault, stats: "EngineStats"):
+    def _miter_formula(self, fault: Fault):
         """Build + encode the fault's miter (UnobservableFault passes
-        through); returns (formula, compiled CNF, build_t, encode_t)."""
+        through); returns (formula, compiled CNF, stage marks)."""
         engine = self.engine
         start = time.perf_counter()
         atpg = build_atpg_circuit(
@@ -408,10 +365,7 @@ class EscalationLadder:
         built = time.perf_counter()
         formula = atpg.formula(cache=engine._encoding_cache)
         compiled = compile_formula(formula)
-        encoded = time.perf_counter()
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        return formula, compiled, built - start, encoded - built
+        return formula, compiled, (start, built, time.perf_counter())
 
     def _fresh_record(
         self, fault: Fault, stats: "EngineStats", with_proof: bool
@@ -421,16 +375,13 @@ class EscalationLadder:
 
         engine = self.engine
         try:
-            _, compiled, build_time, encode_time = self._miter_formula(
-                fault, stats
-            )
+            _, compiled, marks = self._miter_formula(fault)
         except UnobservableFault:
             return (
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
 
-        solve_start = time.perf_counter()
         proof = DrupLog() if with_proof else None
         core = CdclCore(proof=proof)
         for _ in range(compiled.num_vars):
@@ -441,47 +392,33 @@ class EscalationLadder:
             if not core.add_clause(list(clause)):
                 break
         if core.root_failed:
-            status = SatStatus.UNSAT
-            solver_stats = None
+            result = SatResult(SatStatus.UNSAT)
         else:
             status, solver_stats = core.solve(
-                max_conflicts=engine.max_conflicts,
+                max_conflicts=engine.options.max_conflicts,
                 deadline_at=engine._deadline_at,
-                mem_budget_mb=engine.mem_budget_mb,
+                mem_budget_mb=engine.options.mem_budget_mb,
             )
-        solve_time = time.perf_counter() - solve_start
-        stats.solve_time += solve_time
-        stats.sat_calls += 1
-        if solver_stats is not None:
-            stats.propagations += solver_stats.propagations
-            stats.decisions += solver_stats.decisions
-            stats.conflicts += solver_stats.conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=compiled.num_vars,
-            num_clauses=len(compiled.clauses),
-            build_time=build_time,
-            encode_time=encode_time,
-            solve_time=solve_time,
-            decisions=solver_stats.decisions if solver_stats else 0,
-            conflicts=solver_stats.conflicts if solver_stats else 0,
-            propagations=solver_stats.propagations if solver_stats else 0,
+            result = SatResult(
+                status,
+                assignment=(
+                    compiled.decode_assignment(core.values)
+                    if status is SatStatus.SAT
+                    else None
+                ),
+                stats=solver_stats,
+            )
+        record = engine._finished_record(
+            fault,
+            stats,
+            [result],
+            (compiled.num_vars, len(compiled.clauses)),
+            marks,
         )
         proof_status: Optional[str] = None
-        if status is SatStatus.SAT:
-            record.status = FaultStatus.TESTED
-            record.test = engine._extract_test(
-                compiled.decode_assignment(core.values)
-            )
-        elif status is SatStatus.UNSAT:
-            record.status = FaultStatus.UNTESTABLE
-            if with_proof:
-                outcome = check_drup(compiled.clauses, proof)
-                proof_status = "checked" if outcome.ok else "failed"
-        else:
-            record.abort_reason = self._unknown_reason(solver_stats)
+        if with_proof and record.status is FaultStatus.UNTESTABLE:
+            outcome = check_drup(compiled.clauses, proof)
+            proof_status = "checked" if outcome.ok else "failed"
         return record, proof_status
 
     def _reference_record(
@@ -492,51 +429,20 @@ class EscalationLadder:
 
         engine = self.engine
         try:
-            formula, _, build_time, encode_time = self._miter_formula(
-                fault, stats
-            )
+            formula, _, marks = self._miter_formula(fault)
         except UnobservableFault:
             return (
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
-        solver = make_solver("dpll", engine.max_conflicts)
-        solve_start = time.perf_counter()
-        result = solver.solve(formula)
-        solve_time = time.perf_counter() - solve_start
-        stats.solve_time += solve_time
-        stats.sat_calls += 1
-        stats.propagations += result.stats.propagations
-        stats.decisions += result.stats.decisions
-        stats.conflicts += result.stats.conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=formula.num_variables(),
-            num_clauses=formula.num_clauses(),
-            build_time=build_time,
-            encode_time=encode_time,
-            solve_time=solve_time,
-            decisions=result.stats.decisions,
-            conflicts=result.stats.conflicts,
-            propagations=result.stats.propagations,
+        result = make_solver("dpll", engine.options.max_conflicts).solve(
+            formula
         )
-        if result.status is SatStatus.SAT:
-            record.status = FaultStatus.TESTED
-            record.test = engine._extract_test(result.assignment or {})
-        elif result.status is SatStatus.UNSAT:
-            record.status = FaultStatus.UNTESTABLE
-        else:
-            record.abort_reason = self._unknown_reason(result.stats)
+        record = engine._finished_record(
+            fault,
+            stats,
+            [result],
+            (formula.num_variables(), formula.num_clauses()),
+            marks,
+        )
         return record, None
-
-    def _unknown_reason(self, solver_stats) -> str:
-        """Map an UNKNOWN answer to its machine-readable abort reason."""
-        if solver_stats is not None and getattr(
-            solver_stats, "mem_limit_hit", False
-        ):
-            return ABORT_MEM
-        if self.engine._past_deadline():
-            return ABORT_DEADLINE
-        return ABORT_BUDGET

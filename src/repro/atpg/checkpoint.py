@@ -13,7 +13,10 @@ merge as an uninterrupted one.
 Journal layout — one JSON object per line:
 
 * line 1: a header ``{"type": "header", "version": 1, "circuit": ...,
-  "config": {...}}``;
+  "config": {...}}`` whose ``config`` is the run's
+  :meth:`~repro.atpg.options.AtpgOptions.result_fields` — a resume
+  under different result options is refused, since the journaled
+  verdicts were settled under the old ones;
 * then records ``{"type": "record", "net": ..., "value": ...,
   "status": ..., "test": ..., "abort_reason": ..., ...}``.
 
@@ -54,6 +57,7 @@ from repro.atpg.engine import (
     FaultStatus,
 )
 from repro.atpg.faults import Fault
+from repro.atpg.options import AtpgOptions
 
 JOURNAL_VERSION = 1
 
@@ -110,7 +114,8 @@ def is_final(record: AtpgRecord) -> bool:
 
 
 class CheckpointError(ValueError):
-    """A journal could not be loaded (bad header, circuit mismatch)."""
+    """A journal could not be loaded (bad header, circuit or options
+    mismatch)."""
 
 
 def _failpoint(name: str) -> None:
@@ -223,7 +228,9 @@ class CheckpointWriter:
 
 
 def load_checkpoint(
-    path: str | Path, circuit: Optional[str] = None
+    path: str | Path,
+    circuit: Optional[str] = None,
+    options: Optional[AtpgOptions] = None,
 ) -> tuple[dict, dict[Fault, AtpgRecord]]:
     """Load a journal written by :class:`CheckpointWriter`.
 
@@ -231,13 +238,18 @@ def load_checkpoint(
         path: the JSONL journal.
         circuit: when given, the journal header's circuit name must
             match (resuming against the wrong netlist is always a bug).
+        options: when given, the header's ``config`` must equal their
+            :meth:`~repro.atpg.options.AtpgOptions.result_fields`
+            (records settled under another budget, solver or dropping
+            mode are not this run's records).
 
     Returns:
         (header, records) where records maps each journaled fault to its
         *last* journaled record.
 
     Raises:
-        CheckpointError: missing/corrupt header or circuit mismatch.
+        CheckpointError: missing/corrupt header, circuit or options
+            mismatch.
     """
     path = Path(path)
     header: Optional[dict] = None
@@ -276,14 +288,21 @@ def load_checkpoint(
             f"{path}: journal is for circuit "
             f"{header.get('circuit')!r}, not {circuit!r}"
         )
+    if options is not None and header.get("config") != options.result_fields():
+        raise CheckpointError(
+            f"{path}: journal was written under options "
+            f"{header.get('config')!r}, not {options.result_fields()!r}"
+        )
     return header, records
 
 
 def resumable_records(
-    path: str | Path, circuit: Optional[str] = None
+    path: str | Path,
+    circuit: Optional[str] = None,
+    options: Optional[AtpgOptions] = None,
 ) -> dict[Fault, AtpgRecord]:
     """The journaled records a resumed run can treat as settled."""
-    _, records = load_checkpoint(path, circuit=circuit)
+    _, records = load_checkpoint(path, circuit=circuit, options=options)
     return {
         fault: record
         for fault, record in records.items()
@@ -307,6 +326,7 @@ def verified_resumable_records(
     path: str | Path,
     network,
     circuit: Optional[str] = None,
+    options: Optional[AtpgOptions] = None,
 ) -> tuple[dict[Fault, AtpgRecord], list[AtpgRecord]]:
     """Settled journal records, with TESTED patterns witness-checked.
 
@@ -319,7 +339,8 @@ def verified_resumable_records(
     Args:
         network: the :class:`~repro.circuits.network.Network` being
             resumed (ground truth for the witness replay).
-        circuit: forwarded to :func:`load_checkpoint` header validation.
+        circuit / options: forwarded to :func:`load_checkpoint` header
+            validation.
 
     Returns:
         ``(verified, rejected)`` — the records safe to treat as settled,
@@ -328,7 +349,7 @@ def verified_resumable_records(
     """
     from repro.atpg.fault_sim import fault_simulate
 
-    settled = resumable_records(path, circuit=circuit)
+    settled = resumable_records(path, circuit=circuit, options=options)
     verified: dict[Fault, AtpgRecord] = {}
     rejected: list[AtpgRecord] = []
     for fault, record in settled.items():

@@ -47,15 +47,11 @@ from __future__ import annotations
 import enum
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
-from repro.atpg.certify import (
-    CERTIFY_MODES,
-    RUNGS,
-    CertificationError,
-    EscalationLadder,
-)
+from repro.atpg.certify import RUNGS, CertificationError, EscalationLadder
 from repro.atpg.fault_sim import PatternBlockStore, fault_simulate
 from repro.atpg.faults import Fault, collapse_faults
 from repro.atpg.hardness import HardnessModel, HardnessPredictor
@@ -64,13 +60,13 @@ from repro.atpg.miter import (
     build_atpg_circuit,
     build_fault_delta,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.scoap import order_faults
 from repro.atpg.sharing import StructuralClauseStore
 from repro.circuits.network import Network
 from repro.circuits.validate import check_network
 from repro.sat.caching import CachingBacktrackingSolver
 from repro.sat.cdcl import CdclSolver
-from repro.sat.cnf import CnfFormula
 from repro.sat.dpll import DpllSolver
 from repro.sat.incremental import IncrementalSatSolver
 from repro.sat.result import SatResult, SatStatus
@@ -384,138 +380,52 @@ class AtpgEngine:
     Args:
         network: circuit under test (any gate alphabet the CNF encoder
             accepts; decompose first for the paper's exact setting).
-        solver: one of ``cdcl`` (default), ``dpll``, ``dpll-static``,
-            ``caching``.
-        max_conflicts: per-fault effort budget (CDCL) — aborted faults are
-            reported, not silently dropped.
-        validate: structurally validate the network at construction
-            (cyclic or undriven-net netlists raise
+            With ``options.validate`` it is checked structurally here,
+            so cyclic or undriven-net netlists raise
             :class:`~repro.circuits.validate.ValidationError` up front
-            instead of a deep ``KeyError`` mid-run) and fault-simulate
-            every generated test (defensive; adds time but catches
-            encoder bugs).  ``validate_network=False`` skips just the
-            structural check (the parallel engine uses it for workers
-            whose network the coordinator already validated).
-        drop_block_size: patterns packed per fault-dropping block.
-        order: ``auto`` (SCOAP-order the default collapsed list, keep
-            explicit lists as given), ``scoap``, ``hardness`` (learned
-            predictor ordering, :mod:`repro.atpg.hardness`), or
-            ``given``.  Ordering only moves the *schedule*: per-fault
-            verdicts and coverage are order-independent.
-        solver_mode: ``incremental`` (default) keeps one persistent
-            assumption-based CDCL solver per observing-output cone —
-            each fault's miter is pushed as an activation-guarded delta
-            and learned clauses/VSIDS activities/saved phases survive
-            across the fault batch.  ``fresh`` compiles and solves every
-            miter from scratch.  Both modes agree on every fault's
-            SAT/UNSAT verdict and on fault coverage; generated test
-            *vectors* may differ (either mode's tests are validated).
-            Non-CDCL backends always use the fresh path.
-        encoding_cache: optional pre-warmed per-gate CNF cache to share
-            (the parallel engine ships one to every worker).
-        deadline: run-level wall-clock budget in seconds.  When a
-            :meth:`run` exceeds it, remaining faults are recorded
-            ABORTED with reason ``deadline_exceeded`` (periodic time
-            checks inside the CDCL solve loop stop an in-flight search
-            too) and the run returns cleanly with partial coverage.
-        validate_network: override just the structural network check
-            (defaults to ``validate``).
-        certify: ``off`` (default), ``witness``, or ``full`` — route
-            every verdict through the certification / self-healing
-            escalation ladder (:mod:`repro.atpg.certify`): ``witness``
-            certifies TESTABLE verdicts by fault-simulation replay,
-            ``full`` additionally certifies REDUNDANT verdicts by a
-            checked DRUP refutation (or cross-solver agreement).
-            Certification failures, solver exceptions, and budget
-            exhaustion re-solve on independent paths instead of
-            crashing; disagreements land in ``stats.health``.
-        mem_budget_mb: clause-database memory budget per SAT call
-            (CDCL); an over-budget search aborts the fault with reason
-            ``mem_budget_exceeded`` (and, under ``certify``, escalates).
-        share_learned: ``cone`` (default) promotes guard-free low-LBD
-            learned clauses — facts about the good circuit, valid for
-            every fault — into a run-wide
-            :class:`~repro.atpg.sharing.StructuralClauseStore` and
-            pre-seeds sibling cones' solvers with the applicable ones
-            (origin fanin ⊆ target fanin, see :mod:`repro.atpg.sharing`
-            for the soundness argument).  ``off`` disables the exchange.
-            Only the incremental CDCL path shares; verdicts are
-            unaffected either way.
-        budget_policy: ``fixed`` (default) gives every fault the full
-            ``max_conflicts`` budget.  ``predicted`` gives each fault a
-            tight budget derived from its predicted conflict count
-            (:meth:`~repro.atpg.hardness.HardnessPredictor.budget`) and
-            *escalates* to the full budget when the tight attempt comes
-            back UNKNOWN — so a mispredicted fault costs one bounded
-            extra solve while a genuinely hard fault can no longer pin a
-            shard at the full budget repeatedly on doomed warm attempts.
-            Escalation is budget-only (never applied to memory or
-            deadline aborts), so final verdicts are identical to
-            ``fixed``.
-        hardness_model: the trained :class:`HardnessModel` (or a path to
-            its JSON) used by ``order="hardness"``,
-            ``budget_policy="predicted"``, and hard-fault ladder
-            routing; ``None`` loads the shipped default model.
+            instead of a deep ``KeyError`` mid-run.
+        options: the run's :class:`~repro.atpg.options.AtpgOptions`
+            (defaults when omitted; every option is documented there).
+            ``workers`` and ``shard_timeout`` belong to
+            :class:`~repro.atpg.parallel.ParallelAtpgEngine` and are
+            ignored here.
+        **overrides: shorthand for
+            ``dataclasses.replace(options, **overrides)``.
+
+    Shard workers of the parallel engine also pass ``_worker_cache``,
+    the coordinator's pre-warmed per-gate CNF cache; the coordinator
+    has validated the network already, so workers skip that check.
     """
 
     def __init__(
         self,
         network: Network,
-        solver: str = "cdcl",
-        max_conflicts: Optional[int] = 100_000,
-        validate: bool = True,
-        drop_block_size: int = 64,
-        order: str = "auto",
-        solver_mode: str = "incremental",
-        encoding_cache: Optional[CnfEncodingCache] = None,
-        deadline: Optional[float] = None,
-        validate_network: Optional[bool] = None,
-        certify: str = "off",
-        mem_budget_mb: Optional[float] = None,
-        share_learned: str = "cone",
-        budget_policy: str = "fixed",
-        hardness_model: Optional["HardnessModel | str"] = None,
+        options: Optional[AtpgOptions] = None,
+        *,
+        _worker_cache: Optional[CnfEncodingCache] = None,
+        **overrides,
     ) -> None:
-        if order not in ("auto", "scoap", "hardness", "given"):
-            raise ValueError(f"unknown fault order {order!r}")
-        if solver_mode not in ("incremental", "fresh"):
-            raise ValueError(f"unknown solver mode {solver_mode!r}")
-        if budget_policy not in ("fixed", "predicted"):
-            raise ValueError(f"unknown budget policy {budget_policy!r}")
-        if share_learned not in ("off", "cone"):
-            raise ValueError(f"unknown share_learned mode {share_learned!r}")
-        if deadline is not None and deadline < 0:
-            raise ValueError("deadline must be >= 0 seconds")
-        if certify not in CERTIFY_MODES:
-            raise ValueError(f"unknown certify mode {certify!r}")
-        if mem_budget_mb is not None and mem_budget_mb <= 0:
-            raise ValueError("mem_budget_mb must be > 0")
-        structural = validate if validate_network is None else validate_network
-        if structural:
+        options = replace(
+            options if options is not None else AtpgOptions(), **overrides
+        )
+        if options.validate and _worker_cache is None:
             check_network(network)
         self.network = network
-        self.solver_name = solver
-        self.max_conflicts = max_conflicts
-        self.validate = validate
-        self.drop_block_size = drop_block_size
-        self.order = order
-        self.solver_mode = solver_mode
-        self.deadline = deadline
-        self.certify = certify
-        self.mem_budget_mb = mem_budget_mb
-        self.share_learned = share_learned
-        self.budget_policy = budget_policy
-        self.hardness_model = hardness_model
+        self.options = options
         self._hardness: Optional[HardnessPredictor] = None
         self._structural_store = (
-            StructuralClauseStore() if share_learned == "cone" else None
+            StructuralClauseStore()
+            if options.share_learned == "cone"
+            else None
         )
         self._ladder = (
-            EscalationLadder(self, certify) if certify != "off" else None
+            EscalationLadder(self, options.certify)
+            if options.certify != "off"
+            else None
         )
         self._deadline_at: Optional[float] = None
         self._encoding_cache = (
-            encoding_cache if encoding_cache is not None else CnfEncodingCache()
+            _worker_cache if _worker_cache is not None else CnfEncodingCache()
         )
         self._cone_cache: dict[str, set[str]] = {}
         self._cone_solvers: dict[tuple[str, ...], _ConeSolverEntry] = {}
@@ -524,17 +434,23 @@ class AtpgEngine:
     @property
     def incremental(self) -> bool:
         """True when faults are solved on persistent per-cone solvers."""
-        return self.solver_mode == "incremental" and self.solver_name == "cdcl"
+        return (
+            self.options.solver_mode == "incremental"
+            and self.options.solver == "cdcl"
+        )
 
     @property
     def hardness_guided(self) -> bool:
         """True when any scheduling decision consults the predictor."""
-        return self.order == "hardness" or self.budget_policy == "predicted"
+        return (
+            self.options.order == "hardness"
+            or self.options.budget_policy == "predicted"
+        )
 
     def hardness_predictor(self) -> HardnessPredictor:
         """The per-network hardness predictor (built on first use)."""
         if self._hardness is None:
-            model = self.hardness_model
+            model = self.options.hardness_model
             if model is None:
                 model = HardnessModel.default()
             elif not isinstance(model, HardnessModel):
@@ -550,11 +466,12 @@ class AtpgEngine:
         attempt runs on the predictor's tight budget; the second element
         says a full-budget retry is still meaningful if it aborts.
         """
-        if self.budget_policy != "predicted":
-            return self.max_conflicts, False
-        budget = self.hardness_predictor().budget(fault, self.max_conflicts)
+        ceiling = self.options.max_conflicts
+        if self.options.budget_policy != "predicted":
+            return ceiling, False
+        budget = self.hardness_predictor().budget(fault, ceiling)
         escalatable = budget is not None and (
-            self.max_conflicts is None or budget < self.max_conflicts
+            ceiling is None or budget < ceiling
         )
         return budget, escalatable
 
@@ -572,14 +489,14 @@ class AtpgEngine:
         agrees on verdicts, and a fresh-cdcl abort still climbs on to
         the DPLL reference exactly as an escalated one would.
         """
+        ceiling = self.options.max_conflicts
         if (
-            self.certify == "full"
+            self.options.certify == "full"
             and self.hardness_guided
-            and self.max_conflicts is not None
+            and ceiling is not None
+            and self.hardness_predictor().conflicts(fault) > ceiling
         ):
-            predictor = self.hardness_predictor()
-            if predictor.conflicts(fault) > self.max_conflicts:
-                return RUNGS.index("fresh-cdcl")
+            return RUNGS.index("fresh-cdcl")
         return 0
 
     # ------------------------------------------------------------------
@@ -629,50 +546,23 @@ class AtpgEngine:
         formula = atpg.formula(cache=self._encoding_cache)
         encoded = time.perf_counter()
 
-        budget, escalatable = self._fault_budget(fault)
-        result = self._solve(formula, max_conflicts=budget)
-        sat_calls = 1
-        decisions = result.stats.decisions
-        conflicts = result.stats.conflicts
-        propagations = result.stats.propagations
-        if (
-            escalatable
-            and result.status is SatStatus.UNKNOWN
-            and not result.stats.mem_limit_hit
-            and not self._past_deadline()
-        ):
-            # Tight predicted budget exhausted: retry once at the full
-            # budget, so final verdicts match the fixed policy exactly.
-            stats.budget_escalations += 1
-            result = self._solve(formula)
-            sat_calls += 1
-            decisions += result.stats.decisions
-            conflicts += result.stats.conflicts
-            propagations += result.stats.propagations
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += sat_calls
-        stats.propagations += propagations
-        stats.decisions += decisions
-        stats.conflicts += conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=formula.num_variables(),
-            num_clauses=formula.num_clauses(),
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=decisions,
-            conflicts=conflicts,
-            propagations=propagations,
+        results = self._solve_within_budget(
+            fault,
+            stats,
+            lambda budget: make_solver(
+                self.options.solver,
+                budget,
+                deadline_at=self._deadline_at,
+                mem_budget_mb=self.options.mem_budget_mb,
+            ).solve(formula),
         )
-        self._finish_record(record, result)
-        return record
+        return self._finished_record(
+            fault,
+            stats,
+            results,
+            (formula.num_variables(), formula.num_clauses()),
+            (start, built, encoded),
+        )
 
     def _generate_test_incremental(
         self, fault: Fault, stats: EngineStats
@@ -688,7 +578,9 @@ class AtpgEngine:
         if not observing:
             stats.build_time += time.perf_counter() - start
             return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
-        entry = self._cone_solver(observing, stats)
+        # Cone-solver setup happens inside the build interval and is
+        # billed to it only.
+        entry = self._cone_solver(observing)
         delta = build_fault_delta(
             self.network,
             fault,
@@ -712,40 +604,20 @@ class AtpgEngine:
                 entry.solver.push_shared(fresh)
             if entry.solver.num_shared_clauses:
                 stats.shared_active_solves += 1
-        budget, escalatable = self._fault_budget(fault)
-        result = entry.solver.solve(
-            group,
-            max_conflicts=budget,
-            deadline_at=self._deadline_at,
-            mem_budget_mb=self.mem_budget_mb,
-            model_names=self.network.inputs,
-        )
-        sat_calls = 1
-        decisions = result.stats.decisions
-        conflicts = result.stats.conflicts
-        propagations = result.stats.propagations
-        if (
-            escalatable
-            and result.status is SatStatus.UNKNOWN
-            and not result.stats.mem_limit_hit
-            and not self._past_deadline()
-        ):
-            # Tight predicted budget exhausted: re-solve at the full
-            # budget on the still-warm solver (the group is still
-            # active, and the first attempt's learned clauses carry
-            # over), so final verdicts match the fixed policy exactly.
-            stats.budget_escalations += 1
-            result = entry.solver.solve(
+        # An escalated re-solve runs on the still-warm solver: the group
+        # is still active and the first attempt's learned clauses carry
+        # over.
+        results = self._solve_within_budget(
+            fault,
+            stats,
+            lambda budget: entry.solver.solve(
                 group,
-                max_conflicts=self.max_conflicts,
+                max_conflicts=budget,
                 deadline_at=self._deadline_at,
-                mem_budget_mb=self.mem_budget_mb,
+                mem_budget_mb=self.options.mem_budget_mb,
                 model_names=self.network.inputs,
-            )
-            sat_calls += 1
-            decisions += result.stats.decisions
-            conflicts += result.stats.conflicts
-            propagations += result.stats.propagations
+            ),
+        )
         entry.solver.retire(group)
         if store is not None:
             # Drain *after* retire: the delta's variable names are
@@ -755,39 +627,85 @@ class AtpgEngine:
             drained = entry.solver.drain_structural()
             if drained:
                 store.promote(observing, drained)
-        solved = time.perf_counter()
-
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
-        stats.sat_calls += sat_calls
-        stats.propagations += propagations
-        stats.decisions += decisions
-        stats.conflicts += conflicts
-
-        record = AtpgRecord(
-            fault=fault,
-            status=FaultStatus.ABORTED,
-            num_variables=num_variables,
-            num_clauses=entry.base_clauses + group.num_clauses,
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
-            decisions=decisions,
-            conflicts=conflicts,
-            propagations=propagations,
+        record = self._finished_record(
+            fault,
+            stats,
+            results,
+            (num_variables, entry.base_clauses + group.num_clauses),
+            (start, built, encoded),
         )
-        self._finish_record(record, result)
         if record.test is not None:
             # Seed the cone's saved phases from the simulated net values
             # of the test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
-            # starts close to a known-good model.
+            # starts close to a known-good model.  Billed to solve.
+            seed_start = time.perf_counter()
             entry.solver.seed_phases(self.network.evaluate(record.test))
+            stats.solve_time += time.perf_counter() - seed_start
         return record
 
-    def _finish_record(self, record: AtpgRecord, result: SatResult) -> None:
-        """Map the SAT outcome onto the record (shared by both paths)."""
+    def _solve_within_budget(
+        self,
+        fault: Fault,
+        stats: EngineStats,
+        solve: Callable[[Optional[int]], SatResult],
+    ) -> list[SatResult]:
+        """Run ``solve(conflict_budget)`` under the fault's budget.
+
+        Under the ``predicted`` policy a tight first budget that comes
+        back UNKNOWN (not a memory or deadline abort) is retried once at
+        the full budget, so final verdicts match the ``fixed`` policy
+        exactly.  Returns every attempt's result, the final one last.
+        """
+        budget, escalatable = self._fault_budget(fault)
+        results = [solve(budget)]
+        if (
+            escalatable
+            and results[0].status is SatStatus.UNKNOWN
+            and not results[0].stats.mem_limit_hit
+            and not self._past_deadline()
+        ):
+            stats.budget_escalations += 1
+            results.append(solve(self.options.max_conflicts))
+        return results
+
+    def _finished_record(
+        self,
+        fault: Fault,
+        stats: EngineStats,
+        results: list[SatResult],
+        size: tuple[int, int],
+        marks: tuple[float, float, float],
+    ) -> AtpgRecord:
+        """Bill one primary solve and map its outcome onto a record.
+
+        ``size`` is the instance's (variables, clauses); ``marks`` the
+        (start, built, encoded) timestamps, the solve stage ending now.
+        The witness check of ``validate`` is billed to ``fsim``.
+        """
+        solved = time.perf_counter()
+        start, built, encoded = marks
+        stats.build_time += built - start
+        stats.encode_time += encoded - built
+        stats.solve_time += solved - encoded
+        record = AtpgRecord(
+            fault=fault,
+            status=FaultStatus.ABORTED,
+            num_variables=size[0],
+            num_clauses=size[1],
+            build_time=built - start,
+            encode_time=encoded - built,
+            solve_time=solved - encoded,
+            decisions=sum(r.stats.decisions for r in results),
+            conflicts=sum(r.stats.conflicts for r in results),
+            propagations=sum(r.stats.propagations for r in results),
+        )
+        stats.sat_calls += len(results)
+        stats.propagations += record.propagations
+        stats.decisions += record.decisions
+        stats.conflicts += record.conflicts
+
+        result = results[-1]
         if result.status is SatStatus.UNKNOWN:
             if result.stats.mem_limit_hit:
                 record.abort_reason = ABORT_MEM
@@ -795,24 +713,27 @@ class AtpgEngine:
                 record.abort_reason = ABORT_DEADLINE
             else:
                 record.abort_reason = ABORT_BUDGET
-        if result.status is SatStatus.UNSAT:
+        elif result.status is SatStatus.UNSAT:
             record.status = FaultStatus.UNTESTABLE
-        elif result.status is SatStatus.SAT:
+        else:
             assert result.assignment is not None
             test = self._extract_test(result.assignment)
-            if self.validate and self._ladder is None:
+            if self.options.validate and self._ladder is None:
                 # With certification on the ladder replays the witness
                 # itself (and heals failures instead of raising).
-                outcome = fault_simulate(self.network, [record.fault], [test])
-                if record.fault not in outcome.detected:
+                fsim_start = time.perf_counter()
+                outcome = fault_simulate(self.network, [fault], [test])
+                stats.fsim_time += time.perf_counter() - fsim_start
+                if fault not in outcome.detected:
                     raise CertificationError(
-                        record.fault,
+                        fault,
                         "witness",
                         "SAT model failed fault simulation — encoder or "
                         "solver bug",
                     )
             record.status = FaultStatus.TESTED
             record.test = test
+        return record
 
     def _topo_order(self) -> list[str]:
         """The network's topological net order, computed once."""
@@ -820,32 +741,37 @@ class AtpgEngine:
             self._topo = self.network.topological_order()
         return self._topo
 
-    def _cone_solver(
-        self, observing: tuple[str, ...], stats: EngineStats
-    ) -> _ConeSolverEntry:
-        """Persistent solver for the faults observed by ``observing``,
-        its base loaded with the good-circuit CNF of their fanin."""
+    def build_cone_solver(
+        self, observing: tuple[str, ...]
+    ) -> tuple[IncrementalSatSolver, set[str], int]:
+        """A new incremental solver whose base is the good-circuit CNF
+        of the fanin of ``observing``: (solver, relevant nets, base
+        clause count).  The certification ladder builds its independent
+        replay solvers with this too."""
+        relevant = self.network.transitive_fanin(observing)
+        clauses = []
+        encode = self._encoding_cache.gate_clauses
+        gate = self.network.gate
+        for net in self._topo_order():
+            if net in relevant:
+                clauses.extend(encode(gate(net)))
+        solver = IncrementalSatSolver()
+        solver.add_base(clauses)
+        return solver, relevant, len(clauses)
+
+    def _cone_solver(self, observing: tuple[str, ...]) -> _ConeSolverEntry:
+        """Persistent solver for the faults observed by ``observing``."""
         entry = self._cone_solvers.get(observing)
         if entry is None:
-            setup_start = time.perf_counter()
-            relevant = self.network.transitive_fanin(observing)
-            clauses = []
-            encode = self._encoding_cache.gate_clauses
-            gate = self.network.gate
-            for net in self._topo_order():
-                if net in relevant:
-                    clauses.extend(encode(gate(net)))
-            solver = IncrementalSatSolver()
-            solver.add_base(clauses)
+            solver, relevant, base_clauses = self.build_cone_solver(observing)
             store = self._structural_store
             if store is not None:
                 solver.enable_structural(_STRUCTURAL_LBD_MAX)
                 store.register_cone(observing, frozenset(relevant))
             entry = _ConeSolverEntry(
-                solver=solver, relevant=relevant, base_clauses=len(clauses)
+                solver=solver, relevant=relevant, base_clauses=base_clauses
             )
             self._cone_solvers[observing] = entry
-            stats.encode_time += time.perf_counter() - setup_start
         return entry
 
     def _past_deadline(self) -> bool:
@@ -854,18 +780,6 @@ class AtpgEngine:
             self._deadline_at is not None
             and time.monotonic() >= self._deadline_at
         )
-
-    def _solve(
-        self,
-        formula: CnfFormula,
-        max_conflicts: Optional[int] = None,
-    ) -> SatResult:
-        return make_solver(
-            self.solver_name,
-            self.max_conflicts if max_conflicts is None else max_conflicts,
-            deadline_at=self._deadline_at,
-            mem_budget_mb=self.mem_budget_mb,
-        ).solve(formula)
 
     def _extract_test(self, assignment: dict[str, int]) -> dict[str, int]:
         """Project a miter model onto the circuit's primary inputs.
@@ -887,100 +801,126 @@ class AtpgEngine:
         """
         explicit = faults is not None
         fault_list = list(faults) if explicit else collapse_faults(self.network)
-        if self.order == "hardness":
+        order = self.options.order
+        if order == "hardness":
             return self.hardness_predictor().order(fault_list)
-        if self.order == "scoap" or (self.order == "auto" and not explicit):
+        if order == "scoap" or (order == "auto" and not explicit):
             return order_faults(self.network, fault_list)
         return fault_list
+
+    def drop_or_solve(
+        self,
+        ordered: Sequence[Fault],
+        stats: EngineStats,
+        deadline_at: Optional[float] = None,
+        known: Optional[dict[Fault, AtpgRecord]] = None,
+        on_record: Optional[Callable[[AtpgRecord], None]] = None,
+    ) -> list[AtpgRecord]:
+        """The drop-or-solve loop shared by :meth:`run` and the parallel
+        engine's replay merge.
+
+        Walks ``ordered`` and settles each fault by the first rule that
+        applies:
+
+        1. with ``fault_dropping``, an earlier test (kept in packed
+           blocks) detects it: DROPPED with the earliest such test —
+           exactly the faults the classic re-simulate-after-every-test
+           pass would drop;
+        2. ``known`` holds its record (a shard worker's, or a resumed
+           journal's): that record, unless it is a shard-local drop;
+        3. ``deadline_at`` (absolute ``time.monotonic()``) has passed:
+           ABORTED with ``deadline_exceeded``;
+        4. otherwise :meth:`generate_test` solves it.
+
+        A sequential run passes no ``known`` records.  Solves made on
+        behalf of ``known`` (faults a worker dropped in-shard that the
+        global replay does not) count as ``stats.replay_solves``.
+        ``on_record`` fires as each record is settled.
+        """
+        dropping = self.options.fault_dropping
+        certified_drop = True if self.options.certify != "off" else None
+        store = PatternBlockStore(
+            self.network, block_size=self.options.drop_block_size
+        )
+        records: list[AtpgRecord] = []
+        self._deadline_at = deadline_at
+        try:
+            for fault in ordered:
+                detected = None
+                if dropping and len(store):
+                    fsim_start = time.perf_counter()
+                    detected = store.first_detection(
+                        fault, cone=self.fault_cone(fault.net)
+                    )
+                    stats.fsim_time += time.perf_counter() - fsim_start
+                if detected is not None:
+                    # The drop *is* a fault-simulation detection of this
+                    # fault by this pattern.
+                    record = AtpgRecord(
+                        fault=fault,
+                        status=FaultStatus.DROPPED,
+                        test=store.pattern(detected),
+                        certified=certified_drop,
+                    )
+                else:
+                    record = known.get(fault) if known is not None else None
+                    if record is None or record.status is FaultStatus.DROPPED:
+                        if self._past_deadline():
+                            stats.health.deadline_hit = True
+                            record = AtpgRecord(
+                                fault=fault,
+                                status=FaultStatus.ABORTED,
+                                abort_reason=ABORT_DEADLINE,
+                            )
+                        else:
+                            record = self.generate_test(fault, stats=stats)
+                            if known is not None:
+                                stats.replay_solves += 1
+                    if dropping and record.test is not None:
+                        store.add(record.test)
+                records.append(record)
+                if on_record is not None:
+                    on_record(record)
+        finally:
+            self._deadline_at = None
+        stats.good_sims += store.good_sims
+        stats.cone_sims += store.cone_sims
+        return records
 
     def run(
         self,
         faults: Optional[Sequence[Fault]] = None,
-        fault_dropping: bool = True,
         deadline_at: Optional[float] = None,
         on_record: Optional[Callable[[AtpgRecord], None]] = None,
     ) -> AtpgSummary:
-        """ATPG over a fault list (collapsed list by default).
-
-        With ``fault_dropping``, each fault is checked against every
-        previously generated test (packed into blocks) immediately
-        before its SAT call; faults already covered are recorded as
-        DROPPED with the earliest detecting test.  This drops exactly
-        the faults the classic re-simulate-after-every-test pass would
-        drop, without its per-test sweep over the remaining list.
+        """ATPG over a fault list (collapsed list by default), settled
+        by :meth:`drop_or_solve`.
 
         Args:
             deadline_at: absolute ``time.monotonic()`` deadline imposed
-                by an orchestrator; defaults to the engine's own
-                ``deadline`` budget counted from this call.  Once
-                passed, every remaining fault is recorded ABORTED with
-                reason ``deadline_exceeded`` and the run returns.
+                by an orchestrator; defaults to the ``deadline`` option
+                counted from this call.
             on_record: per-record callback fired as each record is
-                finalised (the checkpoint journal hook).
+                settled (the checkpoint journal hook).
         """
         wall_start = time.perf_counter()
-        if deadline_at is None and self.deadline is not None:
-            deadline_at = time.monotonic() + self.deadline
-        self._deadline_at = deadline_at
+        if deadline_at is None and self.options.deadline is not None:
+            deadline_at = time.monotonic() + self.options.deadline
         ordered = self.ordered_faults(faults)
         summary = AtpgSummary(circuit=self.network.name)
         stats = summary.stats
-        store = PatternBlockStore(
-            self.network, block_size=self.drop_block_size
-        )
         cache = self._encoding_cache
         hits0, misses0 = cache.hits, cache.misses
         share = self._structural_store
         promoted0 = share.stats.promoted if share is not None else 0
         injected0 = share.stats.injected if share is not None else 0
 
-        try:
-            for fault in ordered:
-                if self._past_deadline():
-                    stats.health.deadline_hit = True
-                    record = AtpgRecord(
-                        fault=fault,
-                        status=FaultStatus.ABORTED,
-                        abort_reason=ABORT_DEADLINE,
-                    )
-                    summary.records.append(record)
-                    if on_record is not None:
-                        on_record(record)
-                    continue
-                if fault_dropping and len(store):
-                    fsim_start = time.perf_counter()
-                    detected = store.first_detection(
-                        fault, cone=self.fault_cone(fault.net)
-                    )
-                    stats.fsim_time += time.perf_counter() - fsim_start
-                    if detected is not None:
-                        record = AtpgRecord(
-                            fault=fault,
-                            status=FaultStatus.DROPPED,
-                            test=store.pattern(detected),
-                            # The drop *is* a fault-simulation detection
-                            # of this fault by this pattern.
-                            certified=(
-                                True if self.certify != "off" else None
-                            ),
-                        )
-                        summary.records.append(record)
-                        if on_record is not None:
-                            on_record(record)
-                        continue
-                record = self.generate_test(fault, stats=stats)
-                summary.records.append(record)
-                if on_record is not None:
-                    on_record(record)
-                if fault_dropping and record.test is not None:
-                    store.add(record.test)
-        finally:
-            self._deadline_at = None
+        summary.records = self.drop_or_solve(
+            ordered, stats, deadline_at, on_record=on_record
+        )
 
         stats.cache_hits = cache.hits - hits0
         stats.cache_misses = cache.misses - misses0
-        stats.good_sims = store.good_sims
-        stats.cone_sims = store.cone_sims
         if share is not None:
             stats.shared_promoted = share.stats.promoted - promoted0
             stats.shared_injected = share.stats.injected - injected0
@@ -990,3 +930,33 @@ class AtpgEngine:
         stats.health.count_certification(summary.records)
         stats.wall_time = time.perf_counter() - wall_start
         return summary
+
+
+def run_atpg(
+    network: Network,
+    options: Optional[AtpgOptions] = None,
+    resume_from: Optional[str | Path] = None,
+    checkpoint_to: Optional[str | Path] = None,
+) -> AtpgSummary:
+    """Run ATPG with ``options`` on the engine they call for.
+
+    The run is supervised (:class:`~repro.atpg.parallel.
+    ParallelAtpgEngine`, in-process when ``workers == 1``) when it has
+    more than one worker, a shard timeout, or a checkpoint journal to
+    write or resume; otherwise it is a plain sequential
+    :meth:`AtpgEngine.run`.  Fresh-mode records are identical either
+    way.
+    """
+    options = options if options is not None else AtpgOptions()
+    if (
+        options.workers > 1
+        or options.shard_timeout is not None
+        or resume_from is not None
+        or checkpoint_to is not None
+    ):
+        from repro.atpg.parallel import ParallelAtpgEngine
+
+        return ParallelAtpgEngine(network, options).run(
+            resume_from=resume_from, checkpoint_to=checkpoint_to
+        )
+    return AtpgEngine(network, options).run()

@@ -67,15 +67,14 @@ from repro.atpg.checkpoint import (
     verified_resumable_records,
 )
 from repro.atpg.engine import (
-    ABORT_DEADLINE,
     AtpgEngine,
     AtpgRecord,
     AtpgSummary,
     EngineStats,
     FaultStatus,
 )
-from repro.atpg.fault_sim import PatternBlockStore
 from repro.atpg.faults import Fault
+from repro.atpg.options import AtpgOptions
 from repro.atpg.scoap import INFINITY, compute_scoap
 from repro.atpg.supervisor import ShardSupervisor
 from repro.circuits.network import Network
@@ -84,51 +83,28 @@ from repro.sat.tseitin import CnfEncodingCache
 
 @dataclass
 class _ShardJob:
-    """Everything a worker needs to run one shard (must pickle)."""
+    """Everything a worker needs to run one shard (must pickle).
+
+    ``options`` are the coordinator's with ``order="given"`` (shards
+    arrive pre-ordered canonically) and, for hardness-guided runs, the
+    coordinator's resolved hardness model: workers must not load it
+    from disk on their own.
+    """
 
     network: Network
     faults: list[Fault]
-    solver: str
-    max_conflicts: Optional[int]
-    validate: bool
-    drop_block_size: int
-    fault_dropping: bool
-    solver_mode: str
-    encoding_cache: Optional[CnfEncodingCache]
+    options: AtpgOptions
+    encoding_cache: CnfEncodingCache
     deadline_at: Optional[float] = None
-    certify: str = "off"
-    mem_budget_mb: Optional[float] = None
-    share_learned: str = "cone"
-    budget_policy: str = "fixed"
-    #: The coordinator's resolved HardnessModel (a plain dataclass, so
-    #: it pickles); workers must not re-load it from disk independently.
-    hardness_model: Optional[object] = None
 
 
 def _run_shard(job: _ShardJob, on_record=None) -> AtpgSummary:
     """Worker entry point: sequential ATPG over one shard."""
     engine = AtpgEngine(
-        job.network,
-        solver=job.solver,
-        max_conflicts=job.max_conflicts,
-        validate=job.validate,
-        drop_block_size=job.drop_block_size,
-        order="given",  # shards arrive pre-ordered canonically
-        solver_mode=job.solver_mode,
-        encoding_cache=job.encoding_cache,
-        # The coordinator validated the network once already.
-        validate_network=False,
-        certify=job.certify,
-        mem_budget_mb=job.mem_budget_mb,
-        share_learned=job.share_learned,
-        budget_policy=job.budget_policy,
-        hardness_model=job.hardness_model,
+        job.network, job.options, _worker_cache=job.encoding_cache
     )
     return engine.run(
-        faults=job.faults,
-        fault_dropping=job.fault_dropping,
-        deadline_at=job.deadline_at,
-        on_record=on_record,
+        faults=job.faults, deadline_at=job.deadline_at, on_record=on_record
     )
 
 
@@ -226,115 +202,52 @@ class ParallelAtpgEngine:
     """Fault-parallel ATPG with sequential-identical results.
 
     Args:
-        network: circuit under test.
-        workers: worker process count; ``None`` uses the CPU count,
-            ``1`` (or platforms without ``fork``) runs in-process.
-        shards_per_worker: shard granularity multiplier — more shards
-            smooth load imbalance at a small cache-locality cost.
-        solver / max_conflicts / validate / drop_block_size /
-            solver_mode: forwarded to the per-worker :class:`AtpgEngine`.
+        network: circuit under test (validated once, here, when
+            ``options.validate`` is set).
+        options: the run's :class:`~repro.atpg.options.AtpgOptions`.
+            ``workers`` processes run the shards (``1``, or platforms
+            without ``fork``, runs them in-process); ``deadline`` stops
+            dispatch, terminates running workers and records the
+            remaining faults ABORTED with reason ``deadline_exceeded``;
+            ``shard_timeout`` terminates, retries and eventually splits
+            a slow shard.  ``order`` applies on the coordinator (it
+            fixes the canonical order the replay merge reproduces;
+            workers process their slice as given); with either hardness
+            feature active, shard balancing weighs faults by predicted
+            cost instead of SCOAP x cone size.  Structural clause
+            sharing is per-process: workers share across the cones of
+            their own shard and nothing crosses process boundaries.
         min_faults_per_shard: never split below this many faults per
             shard — small fault lists run on fewer shards (often one, in
             process) because fork/merge overhead would dominate.
-        warm_start: pre-encode every network gate into a shared
-            :class:`CnfEncodingCache` shipped to each worker, so workers
-            skip the cold Tseitin pass over the circuit.
-        deadline: run-level wall-clock budget in seconds.  Past it, the
-            supervisor stops dispatching, terminates running workers,
-            and the remaining faults are recorded ABORTED with reason
-            ``deadline_exceeded``.
-        shard_timeout: per-shard wall-clock budget in seconds; a shard
-            exceeding it is terminated, retried, and eventually split
-            (``None`` = unlimited).
         max_shard_attempts: dispatch attempts per shard before the
             supervisor splits it (and, for single-fault shards, gives
             up and records the fault ABORTED).
-        certify / mem_budget_mb / share_learned: forwarded to every
-            per-worker (and the coordinator) :class:`AtpgEngine` — see
-            its docstring.  Structural clause sharing is per-process:
-            workers share across the cones of their own shard (cone
-            grouping keeps sibling cones together, so locality is
-            mostly preserved); nothing crosses process boundaries.
-        order / budget_policy / hardness_model: hardness-guided
-            scheduling knobs (see :class:`AtpgEngine`).  ``order``
-            applies on the coordinator (it fixes the canonical fault
-            order the replay merge reproduces; workers always process
-            their shard slice as given); ``budget_policy`` is forwarded
-            to every worker; with either hardness feature active, shard
-            balancing weighs faults by predicted cost instead of
-            SCOAP x cone size.
+
+    Every worker starts from a copy of one pre-warmed per-gate
+    :class:`CnfEncodingCache`, skipping the cold Tseitin pass.
     """
 
     def __init__(
         self,
         network: Network,
-        workers: Optional[int] = None,
-        shards_per_worker: int = 1,
-        solver: str = "cdcl",
-        max_conflicts: Optional[int] = 100_000,
-        validate: bool = True,
-        drop_block_size: int = 64,
-        solver_mode: str = "incremental",
+        options: Optional[AtpgOptions] = None,
+        *,
         min_faults_per_shard: int = 32,
-        warm_start: bool = True,
-        deadline: Optional[float] = None,
-        shard_timeout: Optional[float] = None,
         max_shard_attempts: int = 2,
-        certify: str = "off",
-        mem_budget_mb: Optional[float] = None,
-        share_learned: str = "cone",
-        order: str = "auto",
-        budget_policy: str = "fixed",
-        hardness_model: Optional[object] = None,
     ) -> None:
-        if workers is None:
-            workers = multiprocessing.cpu_count()
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be >= 1")
         if min_faults_per_shard < 1:
             raise ValueError("min_faults_per_shard must be >= 1")
-        if deadline is not None and deadline < 0:
-            raise ValueError("deadline must be >= 0 seconds")
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError("shard_timeout must be > 0 seconds")
         self.network = network
-        self.workers = workers
-        self.shards_per_worker = shards_per_worker
-        self.solver = solver
-        self.max_conflicts = max_conflicts
-        self.validate = validate
-        self.drop_block_size = drop_block_size
-        self.solver_mode = solver_mode
+        self.options = options if options is not None else AtpgOptions()
         self.min_faults_per_shard = min_faults_per_shard
-        self.warm_start = warm_start
-        self.deadline = deadline
-        self.shard_timeout = shard_timeout
         self.max_shard_attempts = max_shard_attempts
-        self.certify = certify
-        self.mem_budget_mb = mem_budget_mb
-        self.share_learned = share_learned
-        self.budget_policy = budget_policy
         #: Worker entry point; tests monkeypatch this with chaos
         #: variants (crashing / hanging shards) to exercise supervision.
         self._shard_runner = _run_shard
-        # Coordinator-side engine: canonical ordering, replay fallback
-        # SAT calls, and cone caching for the replay's drop checks.
-        self._coordinator = AtpgEngine(
-            network,
-            solver=solver,
-            max_conflicts=max_conflicts,
-            validate=validate,
-            drop_block_size=drop_block_size,
-            solver_mode=solver_mode,
-            certify=certify,
-            mem_budget_mb=mem_budget_mb,
-            share_learned=share_learned,
-            order=order,
-            budget_policy=budget_policy,
-            hardness_model=hardness_model,
-        )
+        # Coordinator-side engine: validation, canonical ordering, the
+        # replay merge's drop checks and its fallback SAT calls.
+        self._coordinator = AtpgEngine(network, self.options)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -343,39 +256,30 @@ class ParallelAtpgEngine:
         return "fork" in multiprocessing.get_all_start_methods()
 
     def _jobs(
-        self,
-        shards: list[list[Fault]],
-        fault_dropping: bool,
-        deadline_at: Optional[float] = None,
+        self, shards: list[list[Fault]], deadline_at: Optional[float]
     ) -> list[_ShardJob]:
-        cache: Optional[CnfEncodingCache] = None
-        if self.warm_start:
-            # Encode every gate once here; each worker starts from a
-            # copy of the warm cache instead of a cold Tseitin pass.
-            cache = CnfEncodingCache()
-            for gate in self.network.gates():
-                cache.gate_clauses(gate)
+        # Encode every gate once here; each worker starts from a copy of
+        # the warm cache instead of a cold Tseitin pass.
+        cache = CnfEncodingCache()
+        for gate in self.network.gates():
+            cache.gate_clauses(gate)
+        coordinator = self._coordinator
+        options = replace(
+            self.options,
+            order="given",
+            hardness_model=(
+                coordinator.hardness_predictor().model
+                if coordinator.hardness_guided
+                else None
+            ),
+        )
         return [
             _ShardJob(
                 network=self.network,
                 faults=shard,
-                solver=self.solver,
-                max_conflicts=self.max_conflicts,
-                validate=self.validate,
-                drop_block_size=self.drop_block_size,
-                fault_dropping=fault_dropping,
-                solver_mode=self.solver_mode,
+                options=options,
                 encoding_cache=cache,
                 deadline_at=deadline_at,
-                certify=self.certify,
-                mem_budget_mb=self.mem_budget_mb,
-                share_learned=self.share_learned,
-                budget_policy=self.budget_policy,
-                hardness_model=(
-                    self._coordinator.hardness_predictor().model
-                    if self._coordinator.hardness_guided
-                    else None
-                ),
             )
             for shard in shards
         ]
@@ -383,7 +287,6 @@ class ParallelAtpgEngine:
     def run(
         self,
         faults: Optional[Sequence[Fault]] = None,
-        fault_dropping: bool = True,
         resume_from: Optional[str | Path] = None,
         checkpoint_to: Optional[str | Path] = None,
         checkpoint_fence=None,
@@ -397,9 +300,12 @@ class ParallelAtpgEngine:
 
         Args:
             resume_from: JSONL checkpoint journal of an earlier
-                (interrupted) run; faults with settled journaled
-                verdicts are not re-dispatched and the final merge
-                matches an uninterrupted run's.
+                (interrupted) run with the same result options
+                (:meth:`~repro.atpg.options.AtpgOptions.result_fields`;
+                :class:`~repro.atpg.checkpoint.CheckpointError`
+                otherwise); faults with settled journaled verdicts are
+                not re-dispatched and the final merge matches an
+                uninterrupted run's.
             checkpoint_to: journal per-fault records here as shards
                 complete (may equal ``resume_from`` to continue the same
                 journal).
@@ -418,9 +324,10 @@ class ParallelAtpgEngine:
         ``summary.stats.health``.
         """
         wall_start = time.perf_counter()
+        options = self.options
         deadline_at = (
-            time.monotonic() + self.deadline
-            if self.deadline is not None
+            time.monotonic() + options.deadline
+            if options.deadline is not None
             else None
         )
         ordered = self._coordinator.ordered_faults(faults)
@@ -430,7 +337,10 @@ class ParallelAtpgEngine:
         if resume_from is not None:
             wanted = set(ordered)
             verified, resume_rejects = verified_resumable_records(
-                resume_from, self.network, circuit=self.network.name
+                resume_from,
+                self.network,
+                circuit=self.network.name,
+                options=options,
             )
             settled = {
                 fault: record
@@ -445,7 +355,7 @@ class ParallelAtpgEngine:
                     ResumeRejectedRecordsWarning,
                     stacklevel=2,
                 )
-            if settled and self.solver_mode == "incremental":
+            if settled and options.solver_mode == "incremental":
                 warnings.warn(
                     "resuming in incremental solver mode: coverage and "
                     "SAT/UNSAT verdicts match an uninterrupted run, but "
@@ -459,7 +369,7 @@ class ParallelAtpgEngine:
         num_shards = max(
             1,
             min(
-                self.workers * self.shards_per_worker,
+                options.workers,
                 len(remaining),
                 max(1, len(remaining) // self.min_faults_per_shard),
             ),
@@ -478,8 +388,8 @@ class ParallelAtpgEngine:
             if remaining
             else []
         )
-        jobs = self._jobs(shards, fault_dropping, deadline_at)
-        use_pool = self.workers > 1 and self.can_fork() and len(jobs) > 1
+        jobs = self._jobs(shards, deadline_at)
+        use_pool = options.workers > 1 and self.can_fork() and len(jobs) > 1
 
         writer: Optional[CheckpointWriter] = None
         try:
@@ -488,14 +398,7 @@ class ParallelAtpgEngine:
                     checkpoint_to,
                     circuit=self.network.name,
                     fence=checkpoint_fence,
-                    config={
-                        "solver": self.solver,
-                        "solver_mode": self.solver_mode,
-                        "max_conflicts": self.max_conflicts,
-                        "fault_dropping": fault_dropping,
-                        "certify": self.certify,
-                        "mem_budget_mb": self.mem_budget_mb,
-                    },
+                    config=options.result_fields(),
                 )
             report = self._supervise(jobs, use_pool, deadline_at, writer)
         finally:
@@ -505,7 +408,6 @@ class ParallelAtpgEngine:
         summary = self._merge(
             ordered,
             report.results,
-            fault_dropping=fault_dropping,
             settled=settled,
             failed=report.failed,
             deadline_at=deadline_at,
@@ -516,7 +418,7 @@ class ParallelAtpgEngine:
         summary.stats.health.disagreements += len(resume_rejects)
         summary.stats.health.count_aborts(summary.records)
         summary.stats.health.count_certification(summary.records)
-        summary.stats.workers = self.workers if use_pool else 1
+        summary.stats.workers = options.workers if use_pool else 1
         summary.stats.shards = len(shards)
         summary.stats.wall_time = time.perf_counter() - wall_start
         return summary
@@ -545,16 +447,17 @@ class ParallelAtpgEngine:
             if writer is not None and id(shard_summary) not in journaled:
                 writer.write_summary(shard_summary)
 
+        workers = self.options.workers
         supervisor = ShardSupervisor(
             self._shard_runner,
             fallback_fn=fallback,
             split_job=_split_shard,
-            workers=min(self.workers, max(1, len(jobs))),
-            shard_timeout=self.shard_timeout,
+            workers=min(workers, max(1, len(jobs))),
+            shard_timeout=self.options.shard_timeout,
             max_attempts=self.max_shard_attempts,
             deadline_at=deadline_at,
             use_processes=use_pool,
-            mark_degraded=self.workers > 1 and not self.can_fork(),
+            mark_degraded=workers > 1 and not self.can_fork(),
             on_result=on_result,
         )
         return supervisor.run(jobs)
@@ -564,17 +467,18 @@ class ParallelAtpgEngine:
         self,
         ordered: Sequence[Fault],
         worker_summaries: Sequence[AtpgSummary],
-        fault_dropping: bool,
         settled: Optional[dict[Fault, AtpgRecord]] = None,
         failed: Sequence = (),
         deadline_at: Optional[float] = None,
     ) -> AtpgSummary:
         """Replay the canonical order to reconcile cross-shard dropping.
 
-        ``settled`` records (from a resumed checkpoint) and ABORTED
-        placeholders for ``failed`` shards enter the replay exactly like
-        worker records, so the merge stays deterministic no matter how
-        the run was interrupted or degraded.
+        Worker records, ``settled`` records (from a resumed checkpoint)
+        and ABORTED placeholders for ``failed`` shards are the *known*
+        records of the coordinator's
+        :meth:`~repro.atpg.engine.AtpgEngine.drop_or_solve` loop, so
+        the merge stays deterministic no matter how the run was
+        interrupted or degraded.
         """
         by_fault: dict[Fault, AtpgRecord] = dict(settled or {})
         stats = EngineStats()
@@ -590,61 +494,12 @@ class ParallelAtpgEngine:
                         status=FaultStatus.ABORTED,
                         abort_reason=failure.reason,
                     )
-
         summary = AtpgSummary(
             circuit=self.network.name,
             stats=stats,
             worker_stats=[ws.stats for ws in worker_summaries],
         )
-        store = PatternBlockStore(
-            self.network, block_size=self.drop_block_size
+        summary.records = self._coordinator.drop_or_solve(
+            ordered, stats, deadline_at, known=by_fault
         )
-        coordinator = self._coordinator
-        coordinator._deadline_at = deadline_at
-        try:
-            for fault in ordered:
-                if fault_dropping and len(store):
-                    fsim_start = time.perf_counter()
-                    detected = store.first_detection(
-                        fault, cone=coordinator.fault_cone(fault.net)
-                    )
-                    stats.fsim_time += time.perf_counter() - fsim_start
-                    if detected is not None:
-                        summary.records.append(
-                            AtpgRecord(
-                                fault=fault,
-                                status=FaultStatus.DROPPED,
-                                test=store.pattern(detected),
-                                certified=(
-                                    True if self.certify != "off" else None
-                                ),
-                            )
-                        )
-                        continue
-                record = by_fault.get(fault)
-                if record is None or record.status is FaultStatus.DROPPED:
-                    # In-shard drop (or lost record) that the global
-                    # replay does not drop: the sequential engine would
-                    # have solved it, so solve it here to stay
-                    # bit-identical — unless the run deadline already
-                    # passed, in which case it is a deadline abort like
-                    # any other undispatched fault.
-                    if coordinator._past_deadline():
-                        stats.health.deadline_hit = True
-                        record = AtpgRecord(
-                            fault=fault,
-                            status=FaultStatus.ABORTED,
-                            abort_reason=ABORT_DEADLINE,
-                        )
-                    else:
-                        record = coordinator.generate_test(fault, stats=stats)
-                        stats.replay_solves += 1
-                summary.records.append(record)
-                if fault_dropping and record.test is not None:
-                    store.add(record.test)
-        finally:
-            coordinator._deadline_at = None
-
-        stats.good_sims += store.good_sims
-        stats.cone_sims += store.cone_sims
         return summary

@@ -18,6 +18,9 @@ from pathlib import Path
 #: ``RunHealth.abort_reasons`` (see :mod:`repro.atpg.supervisor`).
 EXIT_OK = 0
 EXIT_VALIDATION = 2
+#: A request that cannot be honoured as given (argparse's own code),
+#: e.g. ``--resume`` from a journal written under other options.
+EXIT_USAGE = 2
 EXIT_DEADLINE = 3
 ABORT_VALIDATION = "validation_failed"
 ABORT_DEADLINE = "deadline_exceeded"
@@ -237,73 +240,55 @@ def _bench_payload(summary, solver: str, solver_mode: str = "incremental") -> di
     return payload
 
 
+def _atpg_options(args: argparse.Namespace):
+    """The :class:`~repro.atpg.options.AtpgOptions` an ``atpg`` command
+    line asks for (the CLI's one parse target)."""
+    from repro.atpg.options import AtpgOptions
+
+    return AtpgOptions(
+        solver=args.solver,
+        solver_mode=args.solver_mode,
+        max_conflicts=args.max_conflicts_per_fault,
+        validate=not args.no_validate,
+        drop_block_size=args.block_size,
+        order=args.order,
+        deadline=args.deadline,
+        certify=args.certify,
+        mem_budget_mb=args.mem_budget_mb,
+        share_learned=args.share_learned,
+        budget_policy=args.budget_policy,
+        hardness_model=args.hardness_model,
+        fault_dropping=not args.no_dropping,
+        workers=args.workers,
+        shard_timeout=args.shard_timeout,
+    )
+
+
 def _cmd_atpg(args: argparse.Namespace) -> int:
-    from repro.atpg.engine import AtpgEngine, FaultStatus
-    from repro.atpg.parallel import ParallelAtpgEngine
+    from repro.atpg.checkpoint import CheckpointError
+    from repro.atpg.engine import FaultStatus, run_atpg
     from repro.circuits.decompose import tech_decompose
     from repro.circuits.validate import ValidationError
 
     network = _load_netlist(args.netlist)
     if args.decompose:
         network = tech_decompose(network)
-    validate = not args.no_validate
-    # Checkpoint/resume and shard supervision live in the parallel
-    # engine; it runs in-process when workers == 1, so any of those
-    # flags routes through it.
-    supervised = (
-        args.workers > 1
-        or args.resume is not None
-        or args.checkpoint is not None
-        or args.shard_timeout is not None
-    )
     try:
-        if supervised:
-            engine = ParallelAtpgEngine(
-                network,
-                workers=args.workers,
-                solver=args.solver,
-                max_conflicts=args.max_conflicts_per_fault,
-                drop_block_size=args.block_size,
-                solver_mode=args.solver_mode,
-                validate=validate,
-                deadline=args.deadline,
-                shard_timeout=args.shard_timeout,
-                certify=args.certify,
-                mem_budget_mb=args.mem_budget_mb,
-                share_learned=args.share_learned,
-                order=args.order,
-                budget_policy=args.budget_policy,
-                hardness_model=args.hardness_model,
-            )
-        else:
-            engine = AtpgEngine(
-                network,
-                solver=args.solver,
-                max_conflicts=args.max_conflicts_per_fault,
-                drop_block_size=args.block_size,
-                order=args.order,
-                solver_mode=args.solver_mode,
-                validate=validate,
-                deadline=args.deadline,
-                certify=args.certify,
-                mem_budget_mb=args.mem_budget_mb,
-                share_learned=args.share_learned,
-                budget_policy=args.budget_policy,
-                hardness_model=args.hardness_model,
-            )
+        summary = run_atpg(
+            network,
+            _atpg_options(args),
+            resume_from=args.resume,
+            # Resuming keeps journaling to the same file unless
+            # --checkpoint names another.
+            checkpoint_to=args.checkpoint or args.resume,
+        )
     except ValidationError as exc:
         print(f"error: invalid netlist {args.netlist}: {exc}", file=sys.stderr)
         _abort(ABORT_VALIDATION)
         return EXIT_VALIDATION
-    if supervised:
-        checkpoint = args.checkpoint if args.checkpoint else args.resume
-        summary = engine.run(
-            fault_dropping=not args.no_dropping,
-            resume_from=args.resume,
-            checkpoint_to=checkpoint,
-        )
-    else:
-        summary = engine.run(fault_dropping=not args.no_dropping)
+    except CheckpointError as exc:
+        print(f"error: cannot resume: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"circuit {network.name}: {len(summary.records)} faults")
     for status in FaultStatus:
         count = len(summary.by_status(status))
@@ -562,7 +547,50 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve(config)
 
 
+def _shared_options() -> dict[str, argparse.ArgumentParser]:
+    """Parent parsers for the options several subcommands share, so
+    each is declared (type, default, help) exactly once."""
+
+    def parent(flag: str, **kwargs) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(add_help=False)
+        parser.add_argument(flag, **kwargs)
+        return parser
+
+    return {
+        "workers": parent(
+            "--workers", type=_bounded_int(256, "worker count"), default=1,
+            help="worker processes (>1 fans shards out under supervision)",
+        ),
+        "deadline": parent(
+            "--deadline", type=_nonnegative_float, default=None,
+            metavar="SECONDS",
+            help="run-level wall-clock budget; past it the run stops "
+            "cleanly, reports the work it left undone and exits 3 "
+            "(abort: deadline_exceeded)",
+        ),
+        "shard-timeout": parent(
+            "--shard-timeout", type=_positive_float, default=None,
+            metavar="SECONDS",
+            help="per-shard wall-clock budget; a shard exceeding it is "
+            "terminated, retried, and split on repeat failure",
+        ),
+        "bench-json": parent(
+            "--bench-json", default=None, metavar="PATH",
+            help="write throughput/cache/stage-time JSON to PATH",
+        ),
+        "decompose": parent(
+            "--decompose", action="store_true",
+            help="decompose into the paper's simple-gate alphabet first",
+        ),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
+    shared = _shared_options()
+
+    def uses(*names: str) -> list[argparse.ArgumentParser]:
+        return [shared[name] for name in names]
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Why is ATPG Easy?' (DAC 1999)",
@@ -579,26 +607,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=_cmd_fig1)
 
-    p = sub.add_parser("fig8", help="Figure 8: cut-width vs size study")
+    p = sub.add_parser(
+        "fig8", help="Figure 8: cut-width vs size study",
+        parents=uses("workers", "deadline"),
+    )
     p.add_argument("--suite", action="append", default=None)
     p.add_argument("--max-faults", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers", type=_bounded_int(256, "worker count"), default=1,
-        help="worker processes per circuit width sweep",
-    )
-    p.add_argument(
-        "--deadline", type=_nonnegative_float, default=None, metavar="SECONDS",
-        help="run-level wall-clock budget across all suites; past it "
-        "remaining circuits are skipped and the command exits 3 "
-        "(abort: deadline_exceeded)",
-    )
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=_cmd_fig8)
 
     p = sub.add_parser(
         "width-study",
         help="per-fault cut-width sweep (dedup + parallel width pipeline)",
+        parents=uses(
+            "workers", "deadline", "shard-timeout", "bench-json", "decompose"
+        ),
     )
     p.add_argument(
         "netlist", nargs="?", default=None,
@@ -606,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suite-name", default="mcnc")
     p.add_argument("--circuit", action="append", default=None)
-    p.add_argument("--decompose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--max-faults", type=int, default=60,
@@ -618,10 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-faults)",
     )
     p.add_argument(
-        "--workers", type=_bounded_int(256, "worker count"), default=1,
-        help="worker processes (>1 fans shards out under supervision)",
-    )
-    p.add_argument(
         "--mla", choices=("cold", "warm"), default="cold",
         help="cold = historical-estimator parity per distinct "
         "sub-circuit (default); warm = seed arrangements from cached "
@@ -630,19 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bounds", action="store_true",
         help="evaluate each sample's Theorem 4.1 bound n*2^(2*k_fo*W)",
-    )
-    p.add_argument(
-        "--shard-timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-shard wall-clock budget (terminated, retried, split)",
-    )
-    p.add_argument(
-        "--deadline", type=_nonnegative_float, default=None, metavar="SECONDS",
-        help="run-level wall-clock budget; unanalysed faults are "
-        "reported as skipped (deadline_exceeded)",
-    )
-    p.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="write stage-time/cache/health JSON to PATH",
     )
     p.add_argument(
         "--no-validate", action="store_true",
@@ -692,7 +698,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_suite_table)
 
     p = sub.add_parser(
-        "atpg", help="run ATPG on a .bench/.blif/.v netlist"
+        "atpg", help="run ATPG on a .bench/.blif/.v netlist",
+        parents=uses(
+            "workers", "deadline", "shard-timeout", "bench-json", "decompose"
+        ),
     )
     p.add_argument("netlist")
     p.add_argument("--solver", default="cdcl")
@@ -704,12 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per fault",
     )
     p.add_argument("--no-dropping", action="store_true")
-    p.add_argument("--decompose", action="store_true")
     p.add_argument("--compact", action="store_true")
-    p.add_argument(
-        "--workers", type=_bounded_int(256, "worker count"), default=1,
-        help="worker processes (>1 uses ParallelAtpgEngine)",
-    )
     p.add_argument(
         "--order", choices=("auto", "scoap", "hardness", "given"),
         default="auto",
@@ -735,20 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size", type=_bounded_int(1 << 16, "block width"), default=64,
         help="patterns per packed fault-simulation block (any width "
         ">= 1: blocks ride arbitrary-precision integer words)",
-    )
-    p.add_argument(
-        "--bench-json", default=None, metavar="PATH",
-        help="write throughput/cache/stage-time JSON to PATH",
-    )
-    p.add_argument(
-        "--deadline", type=_nonnegative_float, default=None, metavar="SECONDS",
-        help="run-level wall-clock budget; past it the run stops "
-        "cleanly with remaining faults ABORTED (deadline_exceeded)",
-    )
-    p.add_argument(
-        "--shard-timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-shard wall-clock budget; a shard exceeding it is "
-        "terminated, retried, and split on repeat failure",
     )
     p.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -797,14 +787,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_atpg)
 
-    p = sub.add_parser("profile", help="shape statistics of a netlist")
+    p = sub.add_parser(
+        "profile", help="shape statistics of a netlist",
+        parents=uses("decompose"),
+    )
     p.add_argument("netlist")
-    p.add_argument("--decompose", action="store_true")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("cutwidth", help="estimate cut-width of a netlist")
+    p = sub.add_parser(
+        "cutwidth", help="estimate cut-width of a netlist",
+        parents=uses("decompose"),
+    )
     p.add_argument("netlist")
-    p.add_argument("--decompose", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_cutwidth)
 
@@ -812,6 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="crash-safe async ATPG job server (POST /jobs, event "
         "streaming, certified result cache, graceful drain)",
+        parents=uses("workers"),
     )
     p.add_argument(
         "--data-dir", default="atpg-service-data", metavar="DIR",
@@ -825,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-concurrent-jobs", type=_bounded_int(64, "job slots"),
         default=1, help="runner processes dispatched at once",
-    )
-    p.add_argument(
-        "--workers", type=_bounded_int(256, "worker count"), default=1,
-        help="engine worker processes inside each runner",
     )
     p.add_argument(
         "--queue-limit", type=_positive_int, default=64, metavar="N",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from repro.analysis.fitting import FitResult, all_fits
 from repro.analysis.stats import fraction_below, summarize
 from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.options import AtpgOptions
 from repro.gen.benchmarks import iter_suite
 
 
@@ -147,13 +148,15 @@ def run_fig1(
         for name, network in iter_suite(suite):
             if name in skip_circuits:
                 continue
-            engine = AtpgEngine(network, solver=solver)
+            engine = AtpgEngine(
+                network, AtpgOptions(solver=solver, fault_dropping=False)
+            )
             faults = None
             if max_faults_per_circuit is not None:
                 from repro.atpg.faults import collapse_faults
 
                 faults = collapse_faults(network)[:max_faults_per_circuit]
-            summary = engine.run(faults=faults, fault_dropping=False)
+            summary = engine.run(faults=faults)
             for record in summary.records:
                 if record.status in (
                     FaultStatus.TESTED,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.stats import format_table
 from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.options import AtpgOptions
 from repro.atpg.faults import collapse_faults
 from repro.atpg.scoap import hardest_faults
 from repro.core.cutwidth import multi_output_cutwidth
@@ -96,8 +97,8 @@ def run_suite_table(
         faults = collapse_faults(network)
         if max_faults_per_circuit is not None:
             faults = faults[:max_faults_per_circuit]
-        engine = AtpgEngine(network, solver=solver)
-        summary = engine.run(faults=faults, fault_dropping=True)
+        engine = AtpgEngine(network, AtpgOptions(solver=solver))
+        summary = engine.run(faults=faults)
         cutwidth = multi_output_cutwidth(network, seed=seed).cutwidth
         hardest = hardest_faults(network, top=1)
         hardest_label = (

@@ -11,10 +11,12 @@ rests on two normalisations:
   different Tseitin variable interleavings, so they do *not* collapse).
   Whitespace, comments, line order, and declaration order all wash out.
 * **Option canonicalisation** — only the options that can change a
-  record (solver, solver mode, budgets, ordering, certification mode,
-  dropping) enter the key, serialised with sorted keys; presentation
-  knobs (worker count, shard timeouts) stay out, because the replay
-  merge makes records worker-count independent.
+  record (:meth:`AtpgOptions.result_fields
+  <repro.atpg.options.AtpgOptions.result_fields>`: solver, solver mode,
+  conflict budget, dropping, certification mode, sharing, block size)
+  enter the key, serialised with sorted keys; presentation knobs
+  (worker count, shard timeouts) stay out, because the replay merge
+  makes records worker-count independent.
 
 The job key is the SHA-256 over both; the circuit hash alone is also
 exposed for observability (two option sets over one netlist share it).
@@ -24,24 +26,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
+from repro.atpg.options import AtpgOptions
 from repro.circuits.gates import GateType, gate_function_name
 from repro.circuits.network import Network
 
-#: The option names that participate in the job key, with the defaults
-#: the service applies when a submission omits them.  ``fresh`` solver
-#: mode is the service default on purpose: it is the mode whose records
-#: are bit-identical across resumes and worker counts, which is what
-#: makes cached results safely shareable.
-RESULT_OPTIONS = {
-    "solver": "cdcl",
-    "solver_mode": "fresh",
-    "max_conflicts": 100_000,
-    "fault_dropping": True,
-    "certify": "witness",
-    "share_learned": "cone",
-    "drop_block_size": 64,
-}
+#: The engine options the service runs with when a submission omits
+#: them.  ``fresh`` solver mode is the service default on purpose: it is
+#: the mode whose records are bit-identical across resumes and worker
+#: counts, which is what makes cached results safely shareable.
+SERVICE_OPTIONS = AtpgOptions(solver_mode="fresh", certify="witness")
+
+#: The job-key projection of :data:`SERVICE_OPTIONS`: the option names a
+#: submission may set, with their service defaults.
+RESULT_OPTIONS = SERVICE_OPTIONS.result_fields()
 
 
 def canonical_circuit_text(network: Network) -> str:
@@ -77,15 +76,14 @@ def canonical_options(options: dict | None) -> dict:
 
     Raises:
         ValueError: for unknown option names (a typo silently ignored
-            here would poison the cache key space).
+            here would poison the cache key space) and for values
+            :class:`~repro.atpg.options.AtpgOptions` rejects.
     """
     options = dict(options or {})
     unknown = sorted(set(options) - set(RESULT_OPTIONS))
     if unknown:
         raise ValueError(f"unknown job options: {', '.join(unknown)}")
-    merged = dict(RESULT_OPTIONS)
-    merged.update(options)
-    return merged
+    return replace(SERVICE_OPTIONS, **options).result_fields()
 
 
 def canonical_job_key(network: Network, options: dict | None = None) -> str:

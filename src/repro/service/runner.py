@@ -38,6 +38,7 @@ from repro.atpg.checkpoint import (
     load_checkpoint,
     record_to_dict,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.io.bench import loads_bench
 from repro.io.atomic import StorageError, atomic_write_json
@@ -84,8 +85,12 @@ def execute_job(
     meta = store.load_meta(job_id)
     if meta is None:
         raise KeyError(f"no such job {job_id!r}")
-    options = meta["options"]
     try:
+        options = AtpgOptions(
+            **meta["options"],
+            workers=meta.get("workers") or 1,
+            deadline=meta.get("deadline_s"),
+        )
         network = loads_bench(
             store.circuit_path(job_id).read_text(encoding="utf-8"),
             name=meta["circuit_name"],
@@ -94,7 +99,9 @@ def execute_job(
         resume_from = journal if journal.exists() else None
         if resume_from is not None:
             try:
-                load_checkpoint(journal, circuit=meta["circuit_name"])
+                load_checkpoint(
+                    journal, circuit=meta["circuit_name"], options=options
+                )
             except (CheckpointError, OSError):
                 # A journal killed before its header line completed
                 # holds no settled records (appends are strictly
@@ -102,19 +109,7 @@ def execute_job(
                 # restart fresh instead of crash-looping on resume.
                 journal.unlink(missing_ok=True)
                 resume_from = None
-        engine = ParallelAtpgEngine(
-            network,
-            workers=meta.get("workers") or 1,
-            solver=options["solver"],
-            max_conflicts=options["max_conflicts"],
-            drop_block_size=options["drop_block_size"],
-            solver_mode=options["solver_mode"],
-            certify=options["certify"],
-            share_learned=options["share_learned"],
-            deadline=meta.get("deadline_s"),
-        )
-        summary = engine.run(
-            fault_dropping=options["fault_dropping"],
+        summary = ParallelAtpgEngine(network, options).run(
             resume_from=resume_from,
             checkpoint_to=journal,
             checkpoint_fence=fence,
@@ -152,11 +147,13 @@ def execute_job(
     return doc
 
 
-def _runner_child_main(root: str, job_id: str, fence_args) -> None:
+def _runner_child_main(
+    store: JobStore,
+    results: ResultStore,
+    job_id: str,
+    fence: Optional[FenceGuard],
+) -> None:
     """Forked runner body: execute the job, exit 0/1 (2 = fenced out)."""
-    store = JobStore(root)
-    results = ResultStore(JobStore(root).root / "cas")
-    fence = FenceGuard(*fence_args) if fence_args is not None else None
     try:
         execute_job(store, results, job_id, fence=fence)
     except StaleTokenError:
@@ -165,25 +162,28 @@ def _runner_child_main(root: str, job_id: str, fence_args) -> None:
         raise SystemExit(1)
 
 
-def spawn_runner(store: JobStore, job_id: str, fence: Optional[FenceGuard] = None):
+def spawn_runner(
+    store: JobStore,
+    results: ResultStore,
+    job_id: str,
+    fence: Optional[FenceGuard] = None,
+):
     """Fork a runner process for ``job_id``; returns the live process.
 
-    The caller must record ``process.pid`` into the job meta (so crash
-    recovery can kill an orphaned runner) and join the process.  The
-    fence guard (if any) is re-materialised inside the child, so the
-    runner's writes stay token-stamped even though the server keeps the
-    lease heartbeat.
+    The child inherits its arguments through the fork.  ``results``
+    is the server's own store, so its ``max_bytes`` cap governs the
+    runner's promotion, and its temp-file sweep ran once, when the
+    server opened it (a store opened per runner would sweep away a
+    concurrent runner's in-flight promotion temp file).  The fence
+    guard (if any) keeps the runner's writes token-stamped while the
+    server keeps the lease heartbeat.  The caller must record
+    ``process.pid`` into the job meta (so crash recovery can kill an
+    orphaned runner) and join the process.
     """
     ctx = multiprocessing.get_context("fork")
     process = ctx.Process(
         target=_runner_child_main,
-        args=(
-            str(store.root),
-            job_id,
-            None
-            if fence is None
-            else (fence.lease_path, fence.owner, fence.token),
-        ),
+        args=(store, results, job_id, fence),
         daemon=False,
     )
     process.start()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.apps.redundancy import remove_redundancies
 from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.options import AtpgOptions
 from repro.circuits.build import NetworkBuilder
 from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import networks_equivalent
@@ -38,7 +39,7 @@ class TestRemoval:
     def test_optimized_circuit_is_irredundant(self):
         net = consensus_circuit()
         optimized, _ = remove_redundancies(net)
-        summary = AtpgEngine(optimized).run(fault_dropping=True)
+        summary = AtpgEngine(optimized, AtpgOptions(fault_dropping=True)).run()
         assert not summary.by_status(FaultStatus.UNTESTABLE)
 
     def test_irredundant_circuit_untouched(self, example_network):
@@ -87,7 +88,7 @@ class TestTmrVotedAdder:
 
     def test_majority_of_faults_untestable(self):
         net = self._net()
-        summary = AtpgEngine(net).run(fault_dropping=False)
+        summary = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
         counts = summary.status_counts()
         total = sum(counts.values())
         assert counts["untestable"] > total // 2, counts
@@ -101,8 +102,14 @@ class TestTmrVotedAdder:
         """Blocking parity: clause sharing must not flip any verdict on
         the UNSAT-dominated workload it is benchmarked on."""
         net = self._net()
-        on = AtpgEngine(net, share_learned="cone").run(fault_dropping=False)
-        off = AtpgEngine(net, share_learned="off").run(fault_dropping=False)
+        on = AtpgEngine(
+            net,
+            AtpgOptions(share_learned="cone", fault_dropping=False),
+        ).run()
+        off = AtpgEngine(
+            net,
+            AtpgOptions(share_learned="off", fault_dropping=False),
+        ).run()
         assert on.status_counts() == off.status_counts()
         assert [r.status for r in on.records] == [
             r.status for r in off.records

@@ -34,6 +34,7 @@ from repro.atpg.engine import (
     FaultStatus,
 )
 from repro.atpg.faults import Fault, collapse_faults
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from tests.conftest import make_random_network
 
@@ -59,7 +60,7 @@ class TestCertifiedRuns:
     @pytest.mark.parametrize("seed", (0, 3, 7))
     def test_all_verdicts_certified(self, mode, seed):
         network = make_random_network(seed, num_inputs=4, num_gates=10)
-        summary = AtpgEngine(network, certify=mode).run()
+        summary = AtpgEngine(network, AtpgOptions(certify=mode)).run()
         health = summary.stats.health
         for record in summary.records:
             if record.status in (FaultStatus.TESTED, FaultStatus.DROPPED):
@@ -74,16 +75,17 @@ class TestCertifiedRuns:
 
     def test_certified_run_matches_uncertified_verdicts(self):
         network = make_random_network(11, num_inputs=4, num_gates=12)
-        plain = AtpgEngine(network).run(fault_dropping=False)
-        certified = AtpgEngine(network, certify="full").run(
-            fault_dropping=False
-        )
+        plain = AtpgEngine(network, AtpgOptions(fault_dropping=False)).run()
+        certified = AtpgEngine(
+            network,
+            AtpgOptions(certify="full", fault_dropping=False),
+        ).run()
         by_fault = {r.fault: r.status for r in plain.records}
         for record in certified.records:
             assert record.status is by_fault[record.fault]
 
     def test_redundant_fault_certified_by_proof(self, redundant_network):
-        engine = AtpgEngine(redundant_network, certify="full")
+        engine = AtpgEngine(redundant_network, AtpgOptions(certify="full"))
         record = engine.generate_test(Fault("t", 0))
         assert record.status is FaultStatus.UNTESTABLE
         assert record.certified is True
@@ -91,7 +93,7 @@ class TestCertifiedRuns:
     def test_invalid_mode_rejected(self, redundant_network):
         assert set(CERTIFY_MODES) == {"off", "witness", "full"}
         with pytest.raises(ValueError):
-            AtpgEngine(redundant_network, certify="paranoid")
+            AtpgEngine(redundant_network, AtpgOptions(certify="paranoid"))
         with pytest.raises(ValueError):
             EscalationLadder(AtpgEngine(redundant_network), "off")
 
@@ -142,10 +144,10 @@ class TestChaosHealing:
         outvoted by the fresh rung's certified witnesses — and every
         flip must surface as a disagreement."""
         network = make_random_network(5, num_inputs=4, num_gates=10)
-        chaos = LyingUnsatEngine(network, certify="full").run(
-            fault_dropping=False
-        )
-        honest = AtpgEngine(network).run(fault_dropping=False)
+        chaos = LyingUnsatEngine(
+            network, AtpgOptions(certify="full", fault_dropping=False)
+        ).run()
+        honest = AtpgEngine(network, AtpgOptions(fault_dropping=False)).run()
         by_fault = {r.fault: r.status for r in honest.records}
         flipped = 0
         for record in chaos.records:
@@ -161,7 +163,7 @@ class TestChaosHealing:
         """The nastiest lie: TESTED-with-bogus-pattern for a fault that
         is provably untestable.  Witness replay must refuse the pattern
         and the healed UNSAT must carry a checked proof."""
-        engine = LyingSatEngine(redundant_network, certify="full")
+        engine = LyingSatEngine(redundant_network, AtpgOptions(certify="full"))
         stats = EngineStats()
         record = engine._ladder.process(Fault("t", 0), stats)
         assert record.status is FaultStatus.UNTESTABLE
@@ -171,18 +173,18 @@ class TestChaosHealing:
 
     def test_mem_budget_abort_escalates_to_working_rung(self):
         network = make_random_network(2, num_inputs=4, num_gates=8)
-        summary = MemStarvedEngine(network, certify="full").run(
-            fault_dropping=False
-        )
+        summary = MemStarvedEngine(
+            network, AtpgOptions(certify="full", fault_dropping=False)
+        ).run()
         for record in summary.records:
             assert record.status is not FaultStatus.ABORTED, record
         assert summary.stats.health.escalations > 0
 
     def test_crashing_primary_healed_not_raised(self):
         network = make_random_network(9, num_inputs=4, num_gates=8)
-        summary = CrashingEngine(network, certify="witness").run(
-            fault_dropping=False
-        )
+        summary = CrashingEngine(
+            network, AtpgOptions(certify="witness", fault_dropping=False)
+        ).run()
         statuses = {r.status for r in summary.records}
         assert FaultStatus.ABORTED not in statuses
         assert summary.stats.health.escalations > 0
@@ -190,7 +192,7 @@ class TestChaosHealing:
     def test_all_rungs_crashing_aborts_with_solver_error(
         self, redundant_network, monkeypatch
     ):
-        engine = AtpgEngine(redundant_network, certify="full")
+        engine = AtpgEngine(redundant_network, AtpgOptions(certify="full"))
 
         def boom(rung, fault, stats):
             raise RuntimeError("every rung is broken")
@@ -206,7 +208,7 @@ class TestChaosHealing:
         """If *every* rung claims TESTED with a non-detecting pattern,
         journaling any of them would be a silent wrong answer — the
         fault must abort with ``certification_failed`` instead."""
-        engine = AtpgEngine(redundant_network, certify="full")
+        engine = AtpgEngine(redundant_network, AtpgOptions(certify="full"))
         bogus = {name: 0 for name in redundant_network.inputs}
 
         def lying_rung(rung, fault, stats):
@@ -234,9 +236,10 @@ class TestCertificationError:
 class TestParallelCertify:
     def test_parallel_full_certification(self):
         network = make_random_network(4, num_inputs=4, num_gates=12)
-        serial = AtpgEngine(network, certify="full").run()
+        serial = AtpgEngine(network, AtpgOptions(certify="full")).run()
         parallel = ParallelAtpgEngine(
-            network, workers=2, certify="full"
+            network,
+            AtpgOptions(workers=2, certify="full"),
         ).run()
         assert parallel.status_counts() == serial.status_counts()
         health = parallel.stats.health
@@ -251,7 +254,7 @@ class TestResumeTrustBoundary:
     def _journal_with_corrupt_tested(self, tmp_path, network):
         """An honest run's journal, with one TESTED pattern corrupted
         to a non-detecting one (stale/corrupt journal simulation)."""
-        summary = AtpgEngine(network).run(fault_dropping=False)
+        summary = AtpgEngine(network, AtpgOptions(fault_dropping=False)).run()
         bogus = {name: 0 for name in network.inputs}
         tested = [
             r
@@ -262,7 +265,9 @@ class TestResumeTrustBoundary:
         assert tested, "need a fault the bogus pattern does not detect"
         victim = tested[0].fault
         path = tmp_path / "journal.jsonl"
-        with CheckpointWriter(path, network.name) as writer:
+        # Journaled under the options the resuming engines use.
+        config = AtpgOptions(solver_mode="fresh").result_fields()
+        with CheckpointWriter(path, network.name, config=config) as writer:
             for record in summary.records:
                 if record.fault == victim:
                     bad = AtpgRecord(
@@ -294,7 +299,10 @@ class TestResumeTrustBoundary:
         path, victim, honest = self._journal_with_corrupt_tested(
             tmp_path, network
         )
-        engine = ParallelAtpgEngine(network, workers=1, solver_mode="fresh")
+        engine = ParallelAtpgEngine(
+            network,
+            AtpgOptions(workers=1, solver_mode="fresh"),
+        )
         with pytest.warns(ResumeRejectedRecordsWarning):
             summary = engine.run(resume_from=path)
         healed = next(r for r in summary.records if r.fault == victim)
@@ -306,10 +314,11 @@ class TestResumeTrustBoundary:
     def test_incremental_resume_warns_about_parity(self, tmp_path):
         network = make_random_network(13, num_inputs=4, num_gates=8)
         path = tmp_path / "journal.jsonl"
-        first = ParallelAtpgEngine(network, workers=1)
+        first = ParallelAtpgEngine(network, AtpgOptions(workers=1))
         first.run(checkpoint_to=path)
         resumer = ParallelAtpgEngine(
-            network, workers=1, solver_mode="incremental"
+            network,
+            AtpgOptions(workers=1, solver_mode="incremental"),
         )
         with pytest.warns(ResumeParityWarning):
             resumer.run(resume_from=path)
@@ -317,8 +326,14 @@ class TestResumeTrustBoundary:
     def test_fresh_mode_resume_does_not_warn_parity(self, tmp_path):
         network = make_random_network(13, num_inputs=4, num_gates=8)
         path = tmp_path / "journal.jsonl"
-        ParallelAtpgEngine(network, workers=1).run(checkpoint_to=path)
-        resumer = ParallelAtpgEngine(network, workers=1, solver_mode="fresh")
+        ParallelAtpgEngine(
+            network,
+            AtpgOptions(workers=1, solver_mode="fresh"),
+        ).run(checkpoint_to=path)
+        resumer = ParallelAtpgEngine(
+            network,
+            AtpgOptions(workers=1, solver_mode="fresh"),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResumeParityWarning)
             resumer.run(resume_from=path)

@@ -33,6 +33,7 @@ from repro.atpg.engine import (
     FaultStatus,
 )
 from repro.atpg.faults import Fault
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from tests.conftest import make_random_network
 
@@ -180,11 +181,15 @@ class TestResume:
     def net(self):
         return make_random_network(7, num_inputs=5, num_gates=16)
 
-    def _engine(self, net, **kwargs):
+    def _engine(self, net, max_shard_attempts=2, **kwargs):
         kwargs.setdefault("workers", 1)
         kwargs.setdefault("solver_mode", "fresh")
-        kwargs.setdefault("min_faults_per_shard", 1)
-        return ParallelAtpgEngine(net, **kwargs)
+        return ParallelAtpgEngine(
+            net,
+            AtpgOptions(**kwargs),
+            min_faults_per_shard=1,
+            max_shard_attempts=max_shard_attempts,
+        )
 
     def _truncate(self, path, keep_records):
         """Simulate a killed run: keep the header + ``keep_records``

@@ -9,6 +9,7 @@ from repro.atpg.compaction import (
 )
 from repro.atpg.engine import AtpgEngine
 from repro.atpg.faults import collapse_faults
+from repro.atpg.options import AtpgOptions
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
 from tests.conftest import make_random_network
@@ -18,7 +19,7 @@ from tests.conftest import make_random_network
 def c17_setup():
     net = tech_decompose(c17())
     faults = collapse_faults(net)
-    summary = AtpgEngine(net).run(fault_dropping=False)
+    summary = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
     patterns = summary.tests()
     return net, faults, patterns
 
@@ -78,7 +79,7 @@ class TestOnRandomCircuits:
     def test_compaction_roundtrip(self, seed):
         net = tech_decompose(make_random_network(seed, num_inputs=4, num_gates=8))
         faults = collapse_faults(net)
-        summary = AtpgEngine(net).run(fault_dropping=False)
+        summary = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
         patterns = summary.tests()
         if not patterns:
             pytest.skip("no testable faults")

@@ -5,6 +5,7 @@ import pytest
 from repro.atpg.engine import AtpgEngine, FaultStatus
 from repro.atpg.fault_sim import fault_simulate
 from repro.atpg.faults import Fault, collapse_faults, full_fault_list
+from repro.atpg.options import AtpgOptions
 from repro.circuits.build import NetworkBuilder
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
@@ -46,7 +47,7 @@ class TestSingleFault:
         "solver", ["cdcl", "dpll", "dpll-static", "caching"]
     )
     def test_all_backends_agree(self, solver, redundant_network):
-        engine = AtpgEngine(redundant_network, solver=solver)
+        engine = AtpgEngine(redundant_network, AtpgOptions(solver=solver))
         assert (
             engine.generate_test(Fault("t", 0)).status
             is FaultStatus.UNTESTABLE
@@ -56,7 +57,7 @@ class TestSingleFault:
         )
 
     def test_unknown_backend_rejected(self, redundant_network):
-        engine = AtpgEngine(redundant_network, solver="quantum")
+        engine = AtpgEngine(redundant_network, AtpgOptions(solver="quantum"))
         with pytest.raises(ValueError):
             engine.generate_test(Fault("t", 1))
 
@@ -65,8 +66,8 @@ class TestFullRun:
     def test_c17_full_coverage(self):
         """c17 is fully testable — the classic smoke test of any ATPG."""
         net = tech_decompose(c17())
-        engine = AtpgEngine(net)
-        summary = engine.run(fault_dropping=False)
+        engine = AtpgEngine(net, AtpgOptions(fault_dropping=False))
+        summary = engine.run()
         assert summary.fault_coverage == 1.0
         assert not summary.by_status(FaultStatus.ABORTED)
         # Every generated test validated by fault simulation already
@@ -77,8 +78,8 @@ class TestFullRun:
 
     def test_fault_dropping_reduces_sat_calls(self):
         net = tech_decompose(c17())
-        with_drop = AtpgEngine(net).run(fault_dropping=True)
-        without = AtpgEngine(net).run(fault_dropping=False)
+        with_drop = AtpgEngine(net, AtpgOptions(fault_dropping=True)).run()
+        without = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
         sat_calls_with = len(
             [r for r in with_drop.records if r.status is FaultStatus.TESTED]
         )
@@ -103,22 +104,26 @@ class TestFullRun:
             net = tech_decompose(
                 make_random_network(seed, num_inputs=4, num_gates=10)
             )
-            summary = AtpgEngine(net).run(fault_dropping=False)
+            summary = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
             for record in summary.by_status(FaultStatus.TESTED):
                 outcome = fault_simulate(net, [record.fault], [record.test])
                 assert record.fault in outcome.detected
 
     def test_summary_partition_is_complete(self, example_network):
-        summary = AtpgEngine(example_network).run(fault_dropping=True)
+        summary = AtpgEngine(
+            example_network,
+            AtpgOptions(fault_dropping=True),
+        ).run()
         total = sum(len(summary.by_status(s)) for s in FaultStatus)
         assert total == len(summary.records)
         assert len(summary.records) == len(collapse_faults(example_network))
 
     def test_explicit_fault_list(self, example_network):
         faults = [Fault("f", 0), Fault("f", 1)]
-        summary = AtpgEngine(example_network).run(
-            faults=faults, fault_dropping=False
-        )
+        summary = AtpgEngine(
+            example_network,
+            AtpgOptions(fault_dropping=False),
+        ).run(faults=faults)
         assert [r.fault for r in summary.records] == faults
 
 
@@ -129,8 +134,8 @@ class TestBatchedDropping:
             net = tech_decompose(
                 make_random_network(seed, num_inputs=4, num_gates=12)
             )
-            dropped = AtpgEngine(net).run(fault_dropping=True)
-            plain = AtpgEngine(net).run(fault_dropping=False)
+            dropped = AtpgEngine(net, AtpgOptions(fault_dropping=True)).run()
+            plain = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
             assert dropped.fault_coverage == plain.fault_coverage
             covered = lambda s: {
                 r.fault
@@ -141,7 +146,7 @@ class TestBatchedDropping:
 
     def test_dropped_records_carry_detecting_test(self):
         net = tech_decompose(c17())
-        summary = AtpgEngine(net).run(fault_dropping=True)
+        summary = AtpgEngine(net, AtpgOptions(fault_dropping=True)).run()
         for record in summary.by_status(FaultStatus.DROPPED):
             outcome = fault_simulate(net, [record.fault], [record.test])
             assert record.fault in outcome.detected
@@ -149,8 +154,8 @@ class TestBatchedDropping:
     def test_small_block_size_equivalent(self):
         """Drop decisions are independent of the packing granularity."""
         net = tech_decompose(c17())
-        wide = AtpgEngine(net, drop_block_size=64).run()
-        narrow = AtpgEngine(net, drop_block_size=3).run()
+        wide = AtpgEngine(net, AtpgOptions(drop_block_size=64)).run()
+        narrow = AtpgEngine(net, AtpgOptions(drop_block_size=3)).run()
         assert [(r.fault, r.status, r.test) for r in wide.records] == [
             (r.fault, r.status, r.test) for r in narrow.records
         ]
@@ -169,13 +174,13 @@ class TestOrderingAndStats:
     def test_given_order_preserved(self):
         net = tech_decompose(c17())
         faults = list(reversed(collapse_faults(net)))
-        engine = AtpgEngine(net, order="given")
+        engine = AtpgEngine(net, AtpgOptions(order="given"))
         assert engine.ordered_faults(faults) == faults
 
     def test_unknown_order_rejected(self):
         net = tech_decompose(c17())
         with pytest.raises(ValueError):
-            AtpgEngine(net, order="random")
+            AtpgEngine(net, AtpgOptions(order="random"))
 
     def test_stats_populated(self):
         net = tech_decompose(c17())

@@ -28,6 +28,7 @@ from repro.atpg.hardness import (
     ordering_quality,
     train_stumps,
 )
+from repro.atpg.options import AtpgOptions
 from repro.circuits.build import NetworkBuilder
 from repro.circuits.decompose import tech_decompose
 from repro.gen.structured import redundant_tail_unit, tmr_voted_adder
@@ -187,13 +188,16 @@ class TestSchedulingParity:
     def test_verdict_parity_vs_scoap(self, solver_mode):
         network = small_redundant_circuit()
         scoap_run = AtpgEngine(
-            network, order="scoap", solver_mode=solver_mode
+            network,
+            AtpgOptions(order="scoap", solver_mode=solver_mode),
         ).run()
         hardness_run = AtpgEngine(
             network,
-            order="hardness",
-            budget_policy="predicted",
-            solver_mode=solver_mode,
+            AtpgOptions(
+                order="hardness",
+                budget_policy="predicted",
+                solver_mode=solver_mode,
+            ),
         ).run()
         assert {
             r.fault: _verdict_class(r) for r in scoap_run.records
@@ -209,7 +213,7 @@ class TestSchedulingParity:
 
     def test_ordered_faults_hardness(self):
         network = small_redundant_circuit()
-        engine = AtpgEngine(network, order="hardness")
+        engine = AtpgEngine(network, AtpgOptions(order="hardness"))
         faults = collapse_faults(network)
         ordered = engine.ordered_faults(faults)
         assert sorted(ordered) == sorted(faults)
@@ -240,7 +244,7 @@ class TestBudgetPolicy:
         must still produce the same verdicts as the fixed policy.
         """
         network = small_redundant_circuit()
-        fixed = AtpgEngine(network, order="scoap").run()
+        fixed = AtpgEngine(network, AtpgOptions(order="scoap")).run()
 
         starved_model = HardnessModel(
             base=0.0,
@@ -251,9 +255,11 @@ class TestBudgetPolicy:
         )
         starved = AtpgEngine(
             network,
-            order="scoap",
-            budget_policy="predicted",
-            hardness_model=starved_model,
+            AtpgOptions(
+                order="scoap",
+                budget_policy="predicted",
+                hardness_model=starved_model,
+            ),
         )
         result = starved.run()
         assert {
@@ -271,10 +277,12 @@ class TestLadderRouting:
         loud_model = HardnessModel(base=6.0, trees=[])
         engine = AtpgEngine(
             network,
-            order="hardness",
-            certify="full",
-            hardness_model=loud_model,
-            max_conflicts=10,
+            AtpgOptions(
+                order="hardness",
+                certify="full",
+                hardness_model=loud_model,
+                max_conflicts=10,
+            ),
         )
         from repro.atpg.certify import RUNGS
 
@@ -283,32 +291,41 @@ class TestLadderRouting:
         # Same model, generous ceiling: no routing.
         engine = AtpgEngine(
             network,
-            order="hardness",
-            certify="full",
-            hardness_model=loud_model,
-            max_conflicts=100_000,
+            AtpgOptions(
+                order="hardness",
+                certify="full",
+                hardness_model=loud_model,
+                max_conflicts=100_000,
+            ),
         )
         assert engine._route_start_rung(fault) == 0
 
         # Routing is certification-only: never in witness/off modes.
         engine = AtpgEngine(
             network,
-            order="hardness",
-            hardness_model=loud_model,
-            max_conflicts=10,
+            AtpgOptions(
+                order="hardness",
+                hardness_model=loud_model,
+                max_conflicts=10,
+            ),
         )
         assert engine._route_start_rung(fault) == 0
 
     def test_routed_run_keeps_verdicts(self):
         network = small_redundant_circuit()
-        baseline = AtpgEngine(network, order="scoap", certify="full").run()
+        baseline = AtpgEngine(
+            network,
+            AtpgOptions(order="scoap", certify="full"),
+        ).run()
         loud_model = HardnessModel(base=20.0, trees=[])
         routed_engine = AtpgEngine(
             network,
-            order="scoap",
-            budget_policy="predicted",
-            certify="full",
-            hardness_model=loud_model,
+            AtpgOptions(
+                order="scoap",
+                budget_policy="predicted",
+                certify="full",
+                hardness_model=loud_model,
+            ),
         )
         routed = routed_engine.run()
         assert routed.stats.hard_routed > 0

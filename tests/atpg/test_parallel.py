@@ -19,6 +19,7 @@ import pytest
 
 from repro.atpg.engine import AtpgEngine, FaultStatus
 from repro.atpg.faults import collapse_faults
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine, shard_faults_by_cone
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
@@ -38,9 +39,11 @@ def _parity_circuits():
     ]
 
 
-def _fresh_parallel(net, workers):
+def _fresh_parallel(net, workers, **options):
     return ParallelAtpgEngine(
-        net, workers=workers, solver_mode="fresh", min_faults_per_shard=1
+        net,
+        AtpgOptions(workers=workers, solver_mode="fresh", **options),
+        min_faults_per_shard=1,
     )
 
 
@@ -48,7 +51,7 @@ class TestParity:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_matches_sequential_exactly(self, workers):
         for net in _parity_circuits():
-            seq = AtpgEngine(net, solver_mode="fresh").run()
+            seq = AtpgEngine(net, AtpgOptions(solver_mode="fresh")).run()
             par = _fresh_parallel(net, workers).run()
             assert _essence(par) == _essence(seq), net.name
             assert par.fault_coverage == seq.fault_coverage
@@ -56,15 +59,21 @@ class TestParity:
 
     def test_matches_sequential_without_dropping(self):
         net = tech_decompose(c17())
-        seq = AtpgEngine(net, solver_mode="fresh").run(fault_dropping=False)
-        par = _fresh_parallel(net, 2).run(fault_dropping=False)
+        seq = AtpgEngine(
+            net,
+            AtpgOptions(solver_mode="fresh", fault_dropping=False),
+        ).run()
+        par = _fresh_parallel(net, 2, fault_dropping=False).run()
         assert _essence(par) == _essence(seq)
         assert not par.by_status(FaultStatus.DROPPED)
 
     def test_explicit_fault_list(self):
         net = tech_decompose(c17())
         faults = collapse_faults(net)[:6]
-        seq = AtpgEngine(net, solver_mode="fresh").run(faults=faults)
+        seq = AtpgEngine(
+            net,
+            AtpgOptions(solver_mode="fresh"),
+        ).run(faults=faults)
         par = _fresh_parallel(net, 2).run(faults=faults)
         assert _essence(par) == _essence(seq)
 
@@ -72,13 +81,17 @@ class TestParity:
         """Platforms without fork must produce identical results."""
         net = make_random_network(7, num_inputs=4, num_gates=12)
         pooled = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
+            net,
+            AtpgOptions(workers=2),
+            min_faults_per_shard=1,
         ).run()
         monkeypatch.setattr(
             ParallelAtpgEngine, "can_fork", staticmethod(lambda: False)
         )
         fallback = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
+            net,
+            AtpgOptions(workers=2),
+            min_faults_per_shard=1,
         ).run()
         assert _essence(fallback) == _essence(pooled)
         assert fallback.stats.workers == 1  # recorded as in-process
@@ -92,7 +105,9 @@ class TestIncrementalParallel:
         for net in _parity_circuits():
             seq = AtpgEngine(net).run()
             par = ParallelAtpgEngine(
-                net, workers=workers, min_faults_per_shard=1
+                net,
+                AtpgOptions(workers=workers),
+                min_faults_per_shard=1,
             ).run()
             assert par.fault_coverage == seq.fault_coverage, net.name
             untestable = lambda s: {
@@ -111,7 +126,9 @@ class TestIncrementalParallel:
 
         net = make_random_network(6, num_inputs=5, num_gates=16)
         par = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
+            net,
+            AtpgOptions(workers=2),
+            min_faults_per_shard=1,
         ).run()
         for record in par.records:
             if record.test is not None:
@@ -121,13 +138,18 @@ class TestIncrementalParallel:
     def test_small_fault_lists_collapse_to_one_shard(self):
         net = tech_decompose(c17())
         faults = collapse_faults(net)[:8]
-        summary = ParallelAtpgEngine(net, workers=4).run(faults=faults)
+        summary = ParallelAtpgEngine(
+            net,
+            AtpgOptions(workers=4),
+        ).run(faults=faults)
         assert summary.stats.shards == 1  # min_faults_per_shard=32 default
 
     def test_worker_stats_recorded(self):
         net = tech_decompose(c17())
         summary = ParallelAtpgEngine(
-            net, workers=2, min_faults_per_shard=1
+            net,
+            AtpgOptions(workers=2),
+            min_faults_per_shard=1,
         ).run()
         assert summary.worker_stats
         assert len(summary.worker_stats) == summary.stats.shards
@@ -138,7 +160,7 @@ class TestIncrementalParallel:
 class TestStats:
     def test_parallel_counters_populated(self):
         net = tech_decompose(c17())
-        summary = ParallelAtpgEngine(net, workers=2).run()
+        summary = ParallelAtpgEngine(net, AtpgOptions(workers=2)).run()
         stats = summary.stats
         assert stats.shards >= 1
         assert stats.sat_calls > 0
@@ -148,8 +170,8 @@ class TestStats:
 
     def test_deterministic_across_runs(self):
         net = make_random_network(5, num_inputs=4, num_gates=12)
-        first = ParallelAtpgEngine(net, workers=3).run()
-        second = ParallelAtpgEngine(net, workers=3).run()
+        first = ParallelAtpgEngine(net, AtpgOptions(workers=3)).run()
+        second = ParallelAtpgEngine(net, AtpgOptions(workers=3)).run()
         assert _essence(first) == _essence(second)
 
 
@@ -200,11 +222,11 @@ class TestValidation:
     def test_invalid_workers(self):
         net = tech_decompose(c17())
         with pytest.raises(ValueError):
-            ParallelAtpgEngine(net, workers=0)
+            ParallelAtpgEngine(net, AtpgOptions(workers=0))
 
     def test_tests_detect_their_faults(self):
         net = make_random_network(4, num_inputs=4, num_gates=10)
-        summary = ParallelAtpgEngine(net, workers=2).run()
+        summary = ParallelAtpgEngine(net, AtpgOptions(workers=2)).run()
         from repro.atpg.fault_sim import fault_simulate
 
         for record in summary.by_status(FaultStatus.TESTED):

@@ -20,6 +20,7 @@ from repro.atpg.engine import (
     AtpgEngine,
     FaultStatus,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.circuits import GateType, Network, ValidationError
 from repro.sat.cdcl import CdclCore
@@ -41,13 +42,14 @@ def _net(seed):
 
 
 def _sequential(net, mode, **kwargs):
-    return AtpgEngine(net, solver_mode=mode, **kwargs)
+    return AtpgEngine(net, AtpgOptions(solver_mode=mode, **kwargs))
 
 
 def _parallel(net, mode, **kwargs):
     kwargs.setdefault("workers", 2 if HAS_FORK else 1)
-    kwargs.setdefault("min_faults_per_shard", 1)
-    return ParallelAtpgEngine(net, solver_mode=mode, **kwargs)
+    return ParallelAtpgEngine(
+        net, AtpgOptions(solver_mode=mode, **kwargs), min_faults_per_shard=1
+    )
 
 
 class TestBudgetAbortAccounting:
@@ -124,9 +126,9 @@ class TestDeadlineAccounting:
     def test_negative_deadline_rejected(self):
         net = _net(2)
         with pytest.raises(ValueError):
-            AtpgEngine(net, deadline=-1.0)
+            AtpgEngine(net, AtpgOptions(deadline=-1.0))
         with pytest.raises(ValueError):
-            ParallelAtpgEngine(net, deadline=-1.0)
+            ParallelAtpgEngine(net, AtpgOptions(deadline=-1.0))
 
     def test_cdcl_core_deadline_returns_unknown(self):
         # A satisfiable formula with search left to do: an already
@@ -178,7 +180,7 @@ class TestValidationWiring:
     def test_validate_false_defers_the_error(self):
         # Opt-out skips the fail-fast check at construction; the broken
         # netlist then fails later, at use.
-        engine = AtpgEngine(_cyclic_network(), validate=False)
+        engine = AtpgEngine(_cyclic_network(), AtpgOptions(validate=False))
         assert engine is not None
 
     def test_healthy_network_passes(self):

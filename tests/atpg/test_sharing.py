@@ -14,7 +14,8 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.atpg.engine import AtpgEngine, EngineStats, FaultStatus
+from repro.atpg.engine import AtpgEngine, FaultStatus
+from repro.atpg.options import AtpgOptions
 from repro.atpg.sharing import StructuralClauseStore
 from repro.sat.cnf import Literal
 from tests.conftest import make_random_network
@@ -83,11 +84,13 @@ def _donor(seed=11):
     network = make_random_network(
         seed, num_inputs=8, num_gates=40, allow_xor=True
     )
-    donor_engine = AtpgEngine(network, share_learned="cone")
-    donor_engine.run(fault_dropping=False)
+    donor_engine = AtpgEngine(
+        network, AtpgOptions(share_learned="cone", fault_dropping=False)
+    )
+    donor_engine.run()
     log = list(donor_engine._structural_store._log)
 
-    baseline_engine = AtpgEngine(network, share_learned="off")
+    baseline_engine = AtpgEngine(network, AtpgOptions(share_learned="off"))
     faults = baseline_engine.ordered_faults()
     baseline = {
         fault: baseline_engine.generate_test(fault).status for fault in faults
@@ -133,8 +136,8 @@ def test_injecting_any_subset_never_changes_a_verdict(data):
         else []
     )
 
-    engine = AtpgEngine(network, share_learned="off")
-    entry = engine._cone_solver(observing, EngineStats())
+    engine = AtpgEngine(network, AtpgOptions(share_learned="off"))
+    entry = engine._cone_solver(observing)
     if subset:
         entry.solver.push_shared(subset)
     record = engine.generate_test(fault)
@@ -151,8 +154,14 @@ def test_sharing_on_off_verdict_parity(seed):
     network = make_random_network(
         seed, num_inputs=6, num_gates=24, allow_xor=True
     )
-    on = AtpgEngine(network, share_learned="cone").run(fault_dropping=False)
-    off = AtpgEngine(network, share_learned="off").run(fault_dropping=False)
+    on = AtpgEngine(
+        network,
+        AtpgOptions(share_learned="cone", fault_dropping=False),
+    ).run()
+    off = AtpgEngine(
+        network,
+        AtpgOptions(share_learned="off", fault_dropping=False),
+    ).run()
     assert on.status_counts() == off.status_counts()
     assert on.fault_coverage == off.fault_coverage
     assert [r.status for r in on.records] == [r.status for r in off.records]

@@ -19,6 +19,7 @@ import pytest
 
 from repro.atpg.engine import AtpgEngine, FaultStatus
 from repro.atpg.fault_sim import fault_simulate
+from repro.atpg.options import AtpgOptions
 from repro.circuits.decompose import tech_decompose
 from repro.gen.benchmarks import c17
 from tests.conftest import make_random_network
@@ -41,10 +42,11 @@ def _verdicts(summary):
 class TestVerdictParity:
     def test_identical_verdicts_without_dropping(self):
         for net in _circuits():
-            inc = AtpgEngine(net).run(fault_dropping=False)
-            fresh = AtpgEngine(net, solver_mode="fresh").run(
-                fault_dropping=False
-            )
+            inc = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
+            fresh = AtpgEngine(
+                net,
+                AtpgOptions(solver_mode="fresh", fault_dropping=False),
+            ).run()
             assert _verdicts(inc) == _verdicts(fresh), net.name
             assert inc.fault_coverage == fresh.fault_coverage
 
@@ -52,7 +54,7 @@ class TestVerdictParity:
         """With dropping, vectors differ but coverage semantics match."""
         for net in _circuits():
             inc = AtpgEngine(net).run()
-            fresh = AtpgEngine(net, solver_mode="fresh").run()
+            fresh = AtpgEngine(net, AtpgOptions(solver_mode="fresh")).run()
             assert inc.fault_coverage == fresh.fault_coverage, net.name
             untestable = lambda s: {
                 r.fault for r in s.by_status(FaultStatus.UNTESTABLE)
@@ -67,7 +69,7 @@ class TestVerdictParity:
 
     def test_incremental_tests_are_valid(self):
         for net in _circuits():
-            summary = AtpgEngine(net).run(fault_dropping=False)
+            summary = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
             for record in summary.records:
                 if record.test is not None:
                     outcome = fault_simulate(
@@ -88,12 +90,18 @@ class TestAbortedFaults:
 
     def test_both_modes_abort_under_tight_budget(self):
         net = self._net()
-        inc = AtpgEngine(net, max_conflicts=self.BUDGET).run(
-            fault_dropping=False
-        )
+        inc = AtpgEngine(
+            net,
+            AtpgOptions(max_conflicts=self.BUDGET, fault_dropping=False),
+        ).run()
         fresh = AtpgEngine(
-            net, solver_mode="fresh", max_conflicts=self.BUDGET
-        ).run(fault_dropping=False)
+            net,
+            AtpgOptions(
+                solver_mode="fresh",
+                max_conflicts=self.BUDGET,
+                fault_dropping=False,
+            ),
+        ).run()
         assert inc.by_status(FaultStatus.ABORTED)
         assert fresh.by_status(FaultStatus.ABORTED)
         for summary in (inc, fresh):
@@ -108,12 +116,18 @@ class TestAbortedFaults:
         decide a fault, they must agree.
         """
         net = self._net()
-        inc = AtpgEngine(net, max_conflicts=self.BUDGET).run(
-            fault_dropping=False
-        )
+        inc = AtpgEngine(
+            net,
+            AtpgOptions(max_conflicts=self.BUDGET, fault_dropping=False),
+        ).run()
         fresh = AtpgEngine(
-            net, solver_mode="fresh", max_conflicts=self.BUDGET
-        ).run(fault_dropping=False)
+            net,
+            AtpgOptions(
+                solver_mode="fresh",
+                max_conflicts=self.BUDGET,
+                fault_dropping=False,
+            ),
+        ).run()
         fresh_status = {r.fault: r.status for r in fresh.records}
         decided = (FaultStatus.TESTED, FaultStatus.UNTESTABLE)
         for record in inc.records:
@@ -123,10 +137,11 @@ class TestAbortedFaults:
 
     def test_ample_budget_restores_exact_parity(self):
         net = self._net()
-        inc = AtpgEngine(net).run(fault_dropping=False)
-        fresh = AtpgEngine(net, solver_mode="fresh").run(
-            fault_dropping=False
-        )
+        inc = AtpgEngine(net, AtpgOptions(fault_dropping=False)).run()
+        fresh = AtpgEngine(
+            net,
+            AtpgOptions(solver_mode="fresh", fault_dropping=False),
+        ).run()
         assert not inc.by_status(FaultStatus.ABORTED)
         assert not fresh.by_status(FaultStatus.ABORTED)
         assert _verdicts(inc) == _verdicts(fresh)
@@ -136,20 +151,24 @@ class TestModeSelection:
     def test_invalid_mode_rejected(self):
         net = tech_decompose(c17())
         with pytest.raises(ValueError):
-            AtpgEngine(net, solver_mode="warm")
+            AtpgEngine(net, AtpgOptions(solver_mode="warm"))
 
     def test_incremental_is_the_default(self):
         net = tech_decompose(c17())
         assert AtpgEngine(net).incremental is True
-        assert AtpgEngine(net, solver_mode="fresh").incremental is False
+        fresh = AtpgEngine(net, AtpgOptions(solver_mode="fresh"))
+        assert fresh.incremental is False
 
     def test_non_cdcl_backends_use_fresh_path(self):
         """Only the CDCL backend has a persistent incremental core."""
         net = tech_decompose(c17())
-        engine = AtpgEngine(net, solver="dpll")
-        assert engine.incremental is False
-        summary = engine.run(fault_dropping=False)
-        baseline = AtpgEngine(net, solver_mode="fresh").run(
-            fault_dropping=False
+        engine = AtpgEngine(
+            net, AtpgOptions(solver="dpll", fault_dropping=False)
         )
+        assert engine.incremental is False
+        summary = engine.run()
+        baseline = AtpgEngine(
+            net,
+            AtpgOptions(solver_mode="fresh", fault_dropping=False),
+        ).run()
         assert _verdicts(summary) == _verdicts(baseline)

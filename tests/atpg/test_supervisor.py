@@ -26,6 +26,7 @@ from repro.atpg.engine import (
     ABORT_SHARD_TIMEOUT,
     FaultStatus,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine, _run_shard
 from repro.atpg.supervisor import ShardSupervisor
 from tests.conftest import make_random_network
@@ -43,8 +44,9 @@ def _essence(summary):
 def _engine(net, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("solver_mode", "fresh")
-    kwargs.setdefault("min_faults_per_shard", 1)
-    return ParallelAtpgEngine(net, **kwargs)
+    return ParallelAtpgEngine(
+        net, AtpgOptions(**kwargs), min_faults_per_shard=1
+    )
 
 
 @pytest.fixture

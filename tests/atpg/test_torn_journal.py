@@ -23,6 +23,7 @@ from repro.atpg.checkpoint import (
     record_to_dict,
     resumable_records,
 )
+from repro.atpg.options import AtpgOptions
 from repro.atpg.parallel import ParallelAtpgEngine
 from repro.gen.benchmarks import c17
 from repro.io.bench import dumps_bench
@@ -36,7 +37,8 @@ def _engine(network):
     # bit-identical and certification outcomes match an uninterrupted
     # run, so verdict projections can be compared exactly.
     return ParallelAtpgEngine(
-        network, workers=1, solver_mode="fresh", certify="witness"
+        network,
+        AtpgOptions(workers=1, solver_mode="fresh", certify="witness"),
     )
 
 
@@ -53,7 +55,7 @@ def reference():
     network = c17()
     tmp = Path(tempfile.mkdtemp(prefix="torn-journal-"))
     journal = tmp / "journal.jsonl"
-    summary = _engine(network).run(fault_dropping=True, checkpoint_to=journal)
+    summary = _engine(network).run(checkpoint_to=journal)
     return {
         "network": network,
         "tmp": tmp,
@@ -143,7 +145,7 @@ class TestResumeParity:
             torn = tmp_path / f"torn-{offset}.jsonl"
             torn.write_bytes(data[:offset])
             summary = _engine(reference["network"]).run(
-                fault_dropping=True, resume_from=torn, checkpoint_to=torn
+                resume_from=torn, checkpoint_to=torn
             )
             assert _verdicts(summary) == reference["verdicts"], (
                 f"resume from offset {offset} diverged"

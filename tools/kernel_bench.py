@@ -42,6 +42,7 @@ from pathlib import Path
 from repro.atpg.engine import AtpgEngine
 from repro.atpg.fault_sim import FaultSimulator
 from repro.atpg.faults import collapse_faults
+from repro.atpg.options import AtpgOptions
 from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
@@ -51,7 +52,7 @@ from repro.sat.result import SolverStats
 
 
 def one_run(network, faults):
-    engine = AtpgEngine(network, order="given")
+    engine = AtpgEngine(network, AtpgOptions(order="given"))
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
     result = engine.run(faults=faults)

@@ -50,6 +50,7 @@ from repro.atpg.hardness import (
     ordering_quality,
     train_stumps,
 )
+from repro.atpg.options import AtpgOptions
 from repro.circuits.network import Network
 from repro.gen.benchmarks import load_circuit
 from repro.gen.structured import redundant_tail_unit, tmr_voted_adder
@@ -111,11 +112,14 @@ def collect(
             faults = [faults[int(k * stride)] for k in range(max_faults)]
         engine = AtpgEngine(
             network,
-            solver_mode="incremental",
-            order="given",
-            max_conflicts=max_conflicts,
+            AtpgOptions(
+                solver_mode="incremental",
+                order="given",
+                max_conflicts=max_conflicts,
+                fault_dropping=False,
+            ),
         )
-        summary = engine.run(faults=faults, fault_dropping=False)
+        summary = engine.run(faults=faults)
         extractor = HardnessExtractor(network)
         for record in summary.records:
             rows.append(extractor.features(record.fault))
