@@ -293,14 +293,15 @@ class JobStore:
 
 
 def _kill_if_alive(pid: Optional[int]) -> None:
-    """SIGKILL a recorded runner pid if that process still exists."""
+    """SIGKILL a recorded runner pid if that process still exists.
+
+    The pid is not reaped here: when it is this process's child, its
+    exit status belongs to the handle that started it (a reap here
+    would leave ``Process.exitcode`` at ``None`` and ``Popen`` at 0).
+    """
     if not pid or pid == os.getpid():
         return
     try:
         os.kill(pid, signal.SIGKILL)
     except (OSError, ProcessLookupError):
         return
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except (ChildProcessError, OSError):
-        pass

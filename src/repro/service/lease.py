@@ -172,6 +172,20 @@ class LeaseFile:
         """The current lease document, or ``None`` (absent/torn)."""
         return _read_lease(self.path)
 
+    def latest(self) -> Optional[Lease]:
+        """The current lease or, while the path is vacant (its owner
+        died between burying and republishing it in a renew), the
+        highest-token tombstoned one; ``None`` when there is neither."""
+        current = self.peek()
+        if current is not None:
+            return current
+        buried = [
+            lease
+            for lease in map(_read_lease, self._tombstones())
+            if lease is not None
+        ]
+        return max(buried, key=lambda lease: lease.token, default=None)
+
     def held_by_other(self) -> bool:
         """True when a *live* lease (or live tombstone — a renew in
         flight) belongs to a different owner."""
