@@ -77,6 +77,7 @@ from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.gen.benchmarks import load_circuit
 from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
+from repro.obs import rates
 from repro.sat.result import SatStatus
 
 pytestmark = pytest.mark.bench
@@ -417,7 +418,9 @@ def test_perf_smoke():
             "sat_calls": incremental.stats.sat_calls,
             "cache_hit_rate": incremental.stats.cache_hit_rate,
             "stage_times": incremental.stats.stage_times(),
-            "solver_rates": incremental.stats.solver_rates(),
+            "solver_rates": rates(
+                incremental.stats, incremental.stats.solve_time
+            ),
             "conflicts": incremental.stats.conflicts,
             "speedup_vs_seed": seed_time / incremental_time,
             "solve_speedup_vs_batched": (

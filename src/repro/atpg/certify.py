@@ -47,7 +47,6 @@ others          nothing to certify (``certified is None``)
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Optional
 
 from repro.atpg.fault_sim import fault_simulate
@@ -64,6 +63,7 @@ from repro.atpg.supervisor import (
     ABORT_SOLVER,
 )
 from repro.circuits.network import Network
+from repro.obs import span
 from repro.sat.cdcl import CdclCore
 from repro.sat.compile import compile_formula
 from repro.sat.drup import DrupLog, check_drup
@@ -190,11 +190,10 @@ class EscalationLadder:
 
             if record.status is FaultStatus.TESTED:
                 sat_claims += 1
-                replay_start = time.perf_counter()
-                witnessed = record.test is not None and witness_ok(
-                    engine.network, fault, record.test
-                )
-                stats.fsim_time += time.perf_counter() - replay_start
+                with span(stats, "fsim"):
+                    witnessed = record.test is not None and witness_ok(
+                        engine.network, fault, record.test
+                    )
                 if witnessed:
                     record.certified = True
                     if unsat_claims:
@@ -305,67 +304,65 @@ class EscalationLadder:
         from repro.atpg.engine import AtpgRecord, FaultStatus
 
         engine = self.engine
-        start = time.perf_counter()
-        tfo = engine.fault_cone(fault.net)
-        observing = tuple(
-            out for out in engine.network.outputs if out in tfo
-        )
-        if not observing:
-            stats.build_time += time.perf_counter() - start
-            return (
-                AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
-                None,
+        with span(stats, "build") as built:
+            tfo = engine.fault_cone(fault.net)
+            observing = tuple(
+                out for out in engine.network.outputs if out in tfo
             )
-        # Replay-solver setup falls inside the build interval.
-        entry = self._replay_cones.get(observing)
-        if entry is None:
-            entry = self._replay_cones[observing] = engine.build_cone_solver(
-                observing
+            if not observing:
+                return (
+                    AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
+                    None,
+                )
+            # Replay-solver setup falls inside the build interval.
+            entry = self._replay_cones.get(observing)
+            if entry is None:
+                entry = self._replay_cones[observing] = (
+                    engine.build_cone_solver(observing)
+                )
+            solver, relevant, base_clauses = entry
+            delta = build_fault_delta(
+                engine.network,
+                fault,
+                tfo=tfo,
+                relevant=relevant,
+                topo_order=engine._topo_order(),
+                cache=engine._encoding_cache,
             )
-        solver, relevant, base_clauses = entry
-        delta = build_fault_delta(
-            engine.network,
-            fault,
-            tfo=tfo,
-            relevant=relevant,
-            topo_order=engine._topo_order(),
-            cache=engine._encoding_cache,
-        )
-        built = time.perf_counter()
-
-        group = solver.push_group(delta.clauses)
-        num_variables = solver.num_vars
-        encoded = time.perf_counter()
-
-        result = solver.solve(
-            group,
-            max_conflicts=engine.options.max_conflicts,
-            deadline_at=engine._deadline_at,
-            mem_budget_mb=engine.options.mem_budget_mb,
-            model_names=engine.network.inputs,
-        )
-        solver.retire(group)
+        with span(stats, "encode") as encoded:
+            group = solver.push_group(delta.clauses)
+            num_variables = solver.num_vars
+        with span(stats, "solve") as solved:
+            result = solver.solve(
+                group,
+                max_conflicts=engine.options.max_conflicts,
+                deadline_at=engine._deadline_at,
+                mem_budget_mb=engine.options.mem_budget_mb,
+                model_names=engine.network.inputs,
+            )
+            solver.retire(group)
         record = engine._finished_record(
             fault,
             stats,
             [result],
             (num_variables, base_clauses + group.num_clauses),
-            (start, built, encoded),
+            (built, encoded, solved),
         )
         return record, None
 
-    def _miter_formula(self, fault: Fault):
+    def _miter_formula(self, fault: Fault, stats: "EngineStats"):
         """Build + encode the fault's miter (UnobservableFault passes
-        through); returns (formula, compiled CNF, stage marks)."""
+        through); returns (formula, compiled CNF, build and encode
+        spans)."""
         engine = self.engine
-        start = time.perf_counter()
-        atpg = build_atpg_circuit(
-            engine.network, fault, tfo=engine.fault_cone(fault.net)
-        )
-        built = time.perf_counter()
-        formula = atpg.formula(cache=engine._encoding_cache)
-        compiled = compile_formula(formula)
-        return formula, compiled, (start, built, time.perf_counter())
+        with span(stats, "build") as built:
+            atpg = build_atpg_circuit(
+                engine.network, fault, tfo=engine.fault_cone(fault.net)
+            )
+        with span(stats, "encode") as encoded:
+            formula = atpg.formula(cache=engine._encoding_cache)
+            compiled = compile_formula(formula)
+        return formula, compiled, (built, encoded)
 
     def _fresh_record(
         self, fault: Fault, stats: "EngineStats", with_proof: bool
@@ -375,49 +372,53 @@ class EscalationLadder:
 
         engine = self.engine
         try:
-            _, compiled, marks = self._miter_formula(fault)
+            _, compiled, (built, encoded) = self._miter_formula(fault, stats)
         except UnobservableFault:
             return (
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
 
-        proof = DrupLog() if with_proof else None
-        core = CdclCore(proof=proof)
-        for _ in range(compiled.num_vars):
-            core.new_var()
-        for clause in compiled.clauses:
-            # Copy: the core permutes clause lists in place, and the
-            # compiled clauses double as the checker's formula.
-            if not core.add_clause(list(clause)):
-                break
-        if core.root_failed:
-            result = SatResult(SatStatus.UNSAT)
-        else:
-            status, solver_stats = core.solve(
-                max_conflicts=engine.options.max_conflicts,
-                deadline_at=engine._deadline_at,
-                mem_budget_mb=engine.options.mem_budget_mb,
-            )
-            result = SatResult(
-                status,
-                assignment=(
-                    compiled.decode_assignment(core.values)
-                    if status is SatStatus.SAT
-                    else None
-                ),
-                stats=solver_stats,
-            )
+        with span(stats, "solve") as solved:
+            proof = DrupLog() if with_proof else None
+            core = CdclCore(proof=proof)
+            for _ in range(compiled.num_vars):
+                core.new_var()
+            for clause in compiled.clauses:
+                # Copy: the core permutes clause lists in place, and the
+                # compiled clauses double as the checker's formula.
+                if not core.add_clause(list(clause)):
+                    break
+            if core.root_failed:
+                result = SatResult(SatStatus.UNSAT)
+            else:
+                status, solver_stats = core.solve(
+                    max_conflicts=engine.options.max_conflicts,
+                    deadline_at=engine._deadline_at,
+                    mem_budget_mb=engine.options.mem_budget_mb,
+                )
+                result = SatResult(
+                    status,
+                    assignment=(
+                        compiled.decode_assignment(core.values)
+                        if status is SatStatus.SAT
+                        else None
+                    ),
+                    stats=solver_stats,
+                )
         record = engine._finished_record(
             fault,
             stats,
             [result],
             (compiled.num_vars, len(compiled.clauses)),
-            marks,
+            (built, encoded, solved),
         )
         proof_status: Optional[str] = None
         if with_proof and record.status is FaultStatus.UNTESTABLE:
-            outcome = check_drup(compiled.clauses, proof)
+            # The DRUP check re-checks the solver's UNSAT answer, so it
+            # is billed to solve.
+            with span(stats, "solve"):
+                outcome = check_drup(compiled.clauses, proof)
             proof_status = "checked" if outcome.ok else "failed"
         return record, proof_status
 
@@ -429,20 +430,21 @@ class EscalationLadder:
 
         engine = self.engine
         try:
-            formula, _, marks = self._miter_formula(fault)
+            formula, _, (built, encoded) = self._miter_formula(fault, stats)
         except UnobservableFault:
             return (
                 AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE),
                 None,
             )
-        result = make_solver("dpll", engine.options.max_conflicts).solve(
-            formula
-        )
+        with span(stats, "solve") as solved:
+            result = make_solver("dpll", engine.options.max_conflicts).solve(
+                formula
+            )
         record = engine._finished_record(
             fault,
             stats,
             [result],
             (formula.num_variables(), formula.num_clauses()),
-            marks,
+            (built, encoded, solved),
         )
         return record, None

@@ -65,6 +65,7 @@ from repro.atpg.scoap import order_faults
 from repro.atpg.sharing import StructuralClauseStore
 from repro.circuits.network import Network
 from repro.circuits.validate import check_network
+from repro.obs import Counters, span, stage, topology
 from repro.sat.caching import CachingBacktrackingSolver
 from repro.sat.cdcl import CdclSolver
 from repro.sat.dpll import DpllSolver
@@ -130,7 +131,7 @@ class AtpgRecord:
 
 
 @dataclass
-class EngineStats:
+class EngineStats(Counters):
     """Aggregate perf counters for one ATPG run.
 
     Stage times partition the hot path: ``build`` (miter construction),
@@ -138,21 +139,26 @@ class EngineStats:
     (fault-dropping simulation).  Cache counters come from the
     per-engine :class:`~repro.sat.tseitin.CnfEncodingCache`;
     ``replay_solves`` counts coordinator-side SAT calls the parallel
-    engine needed during its reconciliation replay.
+    engine needed during its reconciliation replay.  ``as_dict`` (the
+    ``stats`` block of ``repro atpg --bench-json``) adds the hit rates
+    and the search rates per second of solve time.
     """
 
-    build_time: float = 0.0
-    encode_time: float = 0.0
-    solve_time: float = 0.0
-    fsim_time: float = 0.0
+    derived = ("cache_hit_rate", "shared_hit_rate")
+    rate_clock = "solve_time"
+
+    build_time: float = stage()
+    encode_time: float = stage()
+    solve_time: float = stage()
+    fsim_time: float = stage()
     wall_time: float = 0.0
     sat_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     good_sims: int = 0
     cone_sims: int = 0
-    workers: int = 1
-    shards: int = 1
+    workers: int = topology()
+    shards: int = topology()
     replay_solves: int = 0
     propagations: int = 0
     decisions: int = 0
@@ -187,79 +193,6 @@ class EngineStats:
             if self.sat_calls
             else 0.0
         )
-
-    def stage_times(self) -> dict[str, float]:
-        """Per-stage wall times, keyed by stage name."""
-        return {
-            "build": self.build_time,
-            "encode": self.encode_time,
-            "solve": self.solve_time,
-            "fsim": self.fsim_time,
-        }
-
-    def merge(self, other: "EngineStats") -> None:
-        """Accumulate another run's counters (parallel shard merging).
-
-        Stage times and call counters add; ``workers``/``shards`` are
-        topology facts the coordinator sets explicitly, so they are left
-        untouched here.
-        """
-        self.build_time += other.build_time
-        self.encode_time += other.encode_time
-        self.solve_time += other.solve_time
-        self.fsim_time += other.fsim_time
-        self.sat_calls += other.sat_calls
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.good_sims += other.good_sims
-        self.cone_sims += other.cone_sims
-        self.replay_solves += other.replay_solves
-        self.propagations += other.propagations
-        self.decisions += other.decisions
-        self.conflicts += other.conflicts
-        self.shared_promoted += other.shared_promoted
-        self.shared_injected += other.shared_injected
-        self.shared_active_solves += other.shared_active_solves
-        self.budget_escalations += other.budget_escalations
-        self.hard_routed += other.hard_routed
-        self.health.merge(other.health)
-
-    def solver_rates(self) -> dict[str, float]:
-        """Search throughput per second of SAT solve time (the baseline
-        currency for future solver PRs)."""
-        solve = self.solve_time
-        return {
-            "propagations_per_sec": self.propagations / solve if solve else 0.0,
-            "decisions_per_sec": self.decisions / solve if solve else 0.0,
-            "conflicts_per_sec": self.conflicts / solve if solve else 0.0,
-        }
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready view (used by ``repro atpg --bench-json``)."""
-        return {
-            "stage_times": self.stage_times(),
-            "wall_time": self.wall_time,
-            "sat_calls": self.sat_calls,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "good_sims": self.good_sims,
-            "cone_sims": self.cone_sims,
-            "workers": self.workers,
-            "shards": self.shards,
-            "replay_solves": self.replay_solves,
-            "propagations": self.propagations,
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "shared_promoted": self.shared_promoted,
-            "shared_injected": self.shared_injected,
-            "shared_active_solves": self.shared_active_solves,
-            "shared_hit_rate": self.shared_hit_rate,
-            "budget_escalations": self.budget_escalations,
-            "hard_routed": self.hard_routed,
-            "health": self.health.as_dict(),
-            **self.solver_rates(),
-        }
 
 
 @dataclass
@@ -533,35 +466,34 @@ class AtpgEngine:
         self, fault: Fault, stats: EngineStats
     ) -> AtpgRecord:
         """Cold-start path: build miter, compile, solve from scratch."""
-        start = time.perf_counter()
-        try:
-            atpg = build_atpg_circuit(
-                self.network, fault, tfo=self.fault_cone(fault.net)
+        with span(stats, "build") as built:
+            try:
+                atpg = build_atpg_circuit(
+                    self.network, fault, tfo=self.fault_cone(fault.net)
+                )
+            except UnobservableFault:
+                return AtpgRecord(
+                    fault=fault, status=FaultStatus.UNOBSERVABLE
+                )
+        with span(stats, "encode") as encoded:
+            formula = atpg.formula(cache=self._encoding_cache)
+        with span(stats, "solve") as solved:
+            results = self._solve_within_budget(
+                fault,
+                stats,
+                lambda budget: make_solver(
+                    self.options.solver,
+                    budget,
+                    deadline_at=self._deadline_at,
+                    mem_budget_mb=self.options.mem_budget_mb,
+                ).solve(formula),
             )
-        except UnobservableFault:
-            stats.build_time += time.perf_counter() - start
-            return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
-        built = time.perf_counter()
-
-        formula = atpg.formula(cache=self._encoding_cache)
-        encoded = time.perf_counter()
-
-        results = self._solve_within_budget(
-            fault,
-            stats,
-            lambda budget: make_solver(
-                self.options.solver,
-                budget,
-                deadline_at=self._deadline_at,
-                mem_budget_mb=self.options.mem_budget_mb,
-            ).solve(formula),
-        )
         return self._finished_record(
             fault,
             stats,
             results,
             (formula.num_variables(), formula.num_clauses()),
-            (start, built, encoded),
+            (built, encoded, solved),
         )
 
     def _generate_test_incremental(
@@ -570,78 +502,78 @@ class AtpgEngine:
         """Hot path: push the fault's miter delta onto the persistent
         solver of its observing-output cone and solve under the delta's
         activation assumption."""
-        start = time.perf_counter()
-        tfo = self.fault_cone(fault.net)
-        observing = tuple(
-            out for out in self.network.outputs if out in tfo
-        )
-        if not observing:
-            stats.build_time += time.perf_counter() - start
-            return AtpgRecord(fault=fault, status=FaultStatus.UNOBSERVABLE)
-        # Cone-solver setup happens inside the build interval and is
-        # billed to it only.
-        entry = self._cone_solver(observing)
-        delta = build_fault_delta(
-            self.network,
-            fault,
-            tfo=tfo,
-            relevant=entry.relevant,
-            topo_order=self._topo_order(),
-            cache=self._encoding_cache,
-        )
-        built = time.perf_counter()
-
-        group = entry.solver.push_group(delta.clauses)
-        num_variables = entry.solver.num_vars
-        encoded = time.perf_counter()
+        with span(stats, "build") as built:
+            tfo = self.fault_cone(fault.net)
+            observing = tuple(
+                out for out in self.network.outputs if out in tfo
+            )
+            if not observing:
+                return AtpgRecord(
+                    fault=fault, status=FaultStatus.UNOBSERVABLE
+                )
+            # Cone-solver setup happens inside the build interval and
+            # is billed to it only.
+            entry = self._cone_solver(observing)
+            delta = build_fault_delta(
+                self.network,
+                fault,
+                tfo=tfo,
+                relevant=entry.relevant,
+                topo_order=self._topo_order(),
+                cache=self._encoding_cache,
+            )
+        with span(stats, "encode") as encoded:
+            group = entry.solver.push_group(delta.clauses)
+            num_variables = entry.solver.num_vars
 
         # Sharing work is billed to the solve stage on purpose: the
         # injection/drain cost is part of what the sharing trade buys.
-        store = self._structural_store
-        if store is not None:
-            fresh = store.fresh_for(observing)
-            if fresh:
-                entry.solver.push_shared(fresh)
-            if entry.solver.num_shared_clauses:
-                stats.shared_active_solves += 1
-        # An escalated re-solve runs on the still-warm solver: the group
-        # is still active and the first attempt's learned clauses carry
-        # over.
-        results = self._solve_within_budget(
-            fault,
-            stats,
-            lambda budget: entry.solver.solve(
-                group,
-                max_conflicts=budget,
-                deadline_at=self._deadline_at,
-                mem_budget_mb=self.options.mem_budget_mb,
-                model_names=self.network.inputs,
-            ),
-        )
-        entry.solver.retire(group)
-        if store is not None:
-            # Drain *after* retire: the delta's variable names are
-            # released by then, so clauses mentioning fault-specific
-            # miter variables fail name translation and are filtered —
-            # only clauses over the cone's good-circuit nets promote.
-            drained = entry.solver.drain_structural()
-            if drained:
-                store.promote(observing, drained)
+        with span(stats, "solve") as solved:
+            store = self._structural_store
+            if store is not None:
+                fresh = store.fresh_for(observing)
+                if fresh:
+                    entry.solver.push_shared(fresh)
+                if entry.solver.num_shared_clauses:
+                    stats.shared_active_solves += 1
+            # An escalated re-solve runs on the still-warm solver: the
+            # group is still active and the first attempt's learned
+            # clauses carry over.
+            results = self._solve_within_budget(
+                fault,
+                stats,
+                lambda budget: entry.solver.solve(
+                    group,
+                    max_conflicts=budget,
+                    deadline_at=self._deadline_at,
+                    mem_budget_mb=self.options.mem_budget_mb,
+                    model_names=self.network.inputs,
+                ),
+            )
+            entry.solver.retire(group)
+            if store is not None:
+                # Drain *after* retire: the delta's variable names are
+                # released by then, so clauses mentioning fault-specific
+                # miter variables fail name translation and are
+                # filtered — only clauses over the cone's good-circuit
+                # nets promote.
+                drained = entry.solver.drain_structural()
+                if drained:
+                    store.promote(observing, drained)
         record = self._finished_record(
             fault,
             stats,
             results,
             (num_variables, entry.base_clauses + group.num_clauses),
-            (start, built, encoded),
+            (built, encoded, solved),
         )
         if record.test is not None:
             # Seed the cone's saved phases from the simulated net values
             # of the test just found: nearby faults need assignments that
             # differ only around the new fault site, so the next search
             # starts close to a known-good model.  Billed to solve.
-            seed_start = time.perf_counter()
-            entry.solver.seed_phases(self.network.evaluate(record.test))
-            stats.solve_time += time.perf_counter() - seed_start
+            with span(stats, "solve"):
+                entry.solver.seed_phases(self.network.evaluate(record.test))
         return record
 
     def _solve_within_budget(
@@ -675,27 +607,24 @@ class AtpgEngine:
         stats: EngineStats,
         results: list[SatResult],
         size: tuple[int, int],
-        marks: tuple[float, float, float],
+        spans: tuple[span, span, span],
     ) -> AtpgRecord:
-        """Bill one primary solve and map its outcome onto a record.
+        """Map one primary solve's outcome onto a record.
 
-        ``size`` is the instance's (variables, clauses); ``marks`` the
-        (start, built, encoded) timestamps, the solve stage ending now.
-        The witness check of ``validate`` is billed to ``fsim``.
+        ``size`` is the instance's (variables, clauses); ``spans`` the
+        closed (build, encode, solve) stage spans, whose seconds the
+        record keeps.  The witness check of ``validate`` is billed to
+        ``fsim``.
         """
-        solved = time.perf_counter()
-        start, built, encoded = marks
-        stats.build_time += built - start
-        stats.encode_time += encoded - built
-        stats.solve_time += solved - encoded
+        built, encoded, solved = spans
         record = AtpgRecord(
             fault=fault,
             status=FaultStatus.ABORTED,
             num_variables=size[0],
             num_clauses=size[1],
-            build_time=built - start,
-            encode_time=encoded - built,
-            solve_time=solved - encoded,
+            build_time=built.seconds,
+            encode_time=encoded.seconds,
+            solve_time=solved.seconds,
             decisions=sum(r.stats.decisions for r in results),
             conflicts=sum(r.stats.conflicts for r in results),
             propagations=sum(r.stats.propagations for r in results),
@@ -721,9 +650,8 @@ class AtpgEngine:
             if self.options.validate and self._ladder is None:
                 # With certification on the ladder replays the witness
                 # itself (and heals failures instead of raising).
-                fsim_start = time.perf_counter()
-                outcome = fault_simulate(self.network, [fault], [test])
-                stats.fsim_time += time.perf_counter() - fsim_start
+                with span(stats, "fsim"):
+                    outcome = fault_simulate(self.network, [fault], [test])
                 if fault not in outcome.detected:
                     raise CertificationError(
                         fault,
@@ -848,11 +776,10 @@ class AtpgEngine:
             for fault in ordered:
                 detected = None
                 if dropping and len(store):
-                    fsim_start = time.perf_counter()
-                    detected = store.first_detection(
-                        fault, cone=self.fault_cone(fault.net)
-                    )
-                    stats.fsim_time += time.perf_counter() - fsim_start
+                    with span(stats, "fsim"):
+                        detected = store.first_detection(
+                            fault, cone=self.fault_cone(fault.net)
+                        )
                 if detected is not None:
                     # The drop *is* a fault-simulation detection of this
                     # fault by this pattern.
@@ -924,10 +851,7 @@ class AtpgEngine:
         if share is not None:
             stats.shared_promoted = share.stats.promoted - promoted0
             stats.shared_injected = share.stats.injected - injected0
-            stats.health.shared_promoted = stats.shared_promoted
-            stats.health.shared_injected = stats.shared_injected
-        stats.health.count_aborts(summary.records)
-        stats.health.count_certification(summary.records)
+        stats.health.recount(summary.records)
         stats.wall_time = time.perf_counter() - wall_start
         return summary
 

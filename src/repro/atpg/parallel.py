@@ -416,8 +416,7 @@ class ParallelAtpgEngine:
         # A journaled TESTED verdict the simulator refutes is a
         # cross-run solver disagreement, caught at the trust boundary.
         summary.stats.health.disagreements += len(resume_rejects)
-        summary.stats.health.count_aborts(summary.records)
-        summary.stats.health.count_certification(summary.records)
+        summary.stats.health.recount(summary.records)
         summary.stats.workers = options.workers if use_pool else 1
         summary.stats.shards = len(shards)
         summary.stats.wall_time = time.perf_counter() - wall_start

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.obs import Counters
 from repro.sat.cnf import Literal
 
 #: Canonical shared clause: sorted tuple of named literals.
@@ -41,7 +42,7 @@ NamedClause = tuple[Literal, ...]
 
 
 @dataclass
-class SharingStats:
+class SharingStats(Counters):
     """Counters for one store's lifetime (one engine run)."""
 
     promoted: int = 0
@@ -57,14 +58,6 @@ class SharingStats:
 
     cones: int = 0
     """Cone signatures registered."""
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "promoted": self.promoted,
-            "injected": self.injected,
-            "duplicates": self.duplicates,
-            "cones": self.cones,
-        }
 
 
 @dataclass

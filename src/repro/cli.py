@@ -269,6 +269,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     from repro.atpg.engine import FaultStatus, run_atpg
     from repro.circuits.decompose import tech_decompose
     from repro.circuits.validate import ValidationError
+    from repro.obs import rates
 
     network = _load_netlist(args.netlist)
     if args.decompose:
@@ -304,11 +305,10 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
         f"  cnf cache: {stats.cache_hits} hits / {stats.cache_misses} misses "
         f"({stats.cache_hit_rate:.1%}); sat calls: {stats.sat_calls}"
     )
-    rates = stats.solver_rates()
+    props_per_sec = rates(stats, stats.solve_time)["propagations_per_sec"]
     print(
         f"  solver: {stats.propagations} props, {stats.decisions} decisions, "
-        f"{stats.conflicts} conflicts "
-        f"({rates['propagations_per_sec']:,.0f} props/s)"
+        f"{stats.conflicts} conflicts ({props_per_sec:,.0f} props/s)"
     )
     if stats.workers > 1:
         print(

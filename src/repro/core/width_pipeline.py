@@ -56,6 +56,7 @@ from repro.core.cutwidth import mla_ordering
 from repro.core.hypergraph import circuit_hypergraph
 from repro.core.mla import estimate_cutwidth, warm_min_cut_arrangement
 from repro.core.ordering import dfs_cone_ordering
+from repro.obs import Counters, span, stage, topology
 
 #: A fault's sub-circuit signature: (observing outputs, relevant nets).
 #: Two faults with equal signatures have identical C_ψ^sub up to naming.
@@ -63,7 +64,7 @@ Signature = tuple[tuple[str, ...], frozenset[str]]
 
 
 @dataclass
-class WidthStudyStats:
+class WidthStudyStats(Counters):
     """Aggregate perf counters for one width study, mirroring
     :class:`~repro.atpg.engine.EngineStats`.
 
@@ -74,12 +75,15 @@ class WidthStudyStats:
     ``merge`` (coordinator-side deterministic merge).  Cache counters
     distinguish the two caches: ``sub_cache_*`` for the per-signature
     sample memo, ``cone_cache_*`` for the warm-start cone arrangements.
+    ``as_dict`` is the ``stats`` block of ``BENCH_width.json``.
     """
 
-    signature_time: float = 0.0
-    cone_time: float = 0.0
-    arrange_time: float = 0.0
-    merge_time: float = 0.0
+    derived = ("cache_hit_rate",)
+
+    signature_time: float = stage()
+    cone_time: float = stage()
+    arrange_time: float = stage()
+    merge_time: float = stage()
     wall_time: float = 0.0
     sub_cache_hits: int = 0
     sub_cache_misses: int = 0
@@ -87,8 +91,8 @@ class WidthStudyStats:
     cone_cache_misses: int = 0
     warm_starts: int = 0
     cold_runs: int = 0
-    workers: int = 1
-    shards: int = 1
+    workers: int = topology()
+    shards: int = topology()
     health: RunHealth = field(default_factory=RunHealth)
 
     @property
@@ -96,50 +100,6 @@ class WidthStudyStats:
         """Fraction of faults served from the sub-circuit memo."""
         total = self.sub_cache_hits + self.sub_cache_misses
         return self.sub_cache_hits / total if total else 0.0
-
-    def stage_times(self) -> dict[str, float]:
-        """Per-stage wall times, keyed by stage name."""
-        return {
-            "signature": self.signature_time,
-            "cone": self.cone_time,
-            "arrange": self.arrange_time,
-            "merge": self.merge_time,
-        }
-
-    def merge(self, other: "WidthStudyStats") -> None:
-        """Accumulate another shard's counters (parallel merging).
-
-        Stage times and cache counters add; ``workers``/``shards`` are
-        topology facts the coordinator sets explicitly.
-        """
-        self.signature_time += other.signature_time
-        self.cone_time += other.cone_time
-        self.arrange_time += other.arrange_time
-        self.merge_time += other.merge_time
-        self.sub_cache_hits += other.sub_cache_hits
-        self.sub_cache_misses += other.sub_cache_misses
-        self.cone_cache_hits += other.cone_cache_hits
-        self.cone_cache_misses += other.cone_cache_misses
-        self.warm_starts += other.warm_starts
-        self.cold_runs += other.cold_runs
-        self.health.merge(other.health)
-
-    def as_dict(self) -> dict:
-        """JSON-ready view (the ``stats`` block of ``BENCH_width.json``)."""
-        return {
-            "stage_times": self.stage_times(),
-            "wall_time": self.wall_time,
-            "sub_cache_hits": self.sub_cache_hits,
-            "sub_cache_misses": self.sub_cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cone_cache_hits": self.cone_cache_hits,
-            "cone_cache_misses": self.cone_cache_misses,
-            "warm_starts": self.warm_starts,
-            "cold_runs": self.cold_runs,
-            "workers": self.workers,
-            "shards": self.shards,
-            "health": self.health.as_dict(),
-        }
 
 
 @dataclass
@@ -246,9 +206,8 @@ class _ShardAnalyzer:
         samples: list[FaultWidthSample] = []
         unobservable: list[Fault] = []
         for fault in faults:
-            start = time.perf_counter()
-            signature = self._signature(fault)
-            self.stats.signature_time += time.perf_counter() - start
+            with span(self.stats, "signature"):
+                signature = self._signature(fault)
             if signature is None:
                 unobservable.append(fault)
                 continue
@@ -297,42 +256,45 @@ class _ShardAnalyzer:
         if self.mode == "warm":
             seeds = [self._warm_seed_order(observing, relevant)]
 
-        start = time.perf_counter()
-        sub = self.network.subnetwork(
-            set(relevant),
-            outputs=list(observing),
-            name=f"{self.network.name}.sub({','.join(observing)})",
-        )
-        graph = circuit_hypergraph(sub)
-        candidates = [dfs_cone_ordering(sub)]
-        if self.mode == "warm":
-            vertex_set = set(graph.vertices)
-            restricted = [
-                [net for net in order if net in vertex_set] for order in seeds
-            ]
-            result = warm_min_cut_arrangement(
-                graph,
-                restricted,
-                seed=self.seed,
-                leaf_size=self.leaf_size,
-                candidate_orders=candidates,
+        with span(self.stats, "arrange"):
+            sub = self.network.subnetwork(
+                set(relevant),
+                outputs=list(observing),
+                name=f"{self.network.name}.sub({','.join(observing)})",
             )
-            width = result.cutwidth
-            if any(len(order) == graph.num_vertices for order in restricted):
-                self.stats.warm_starts += 1
+            graph = circuit_hypergraph(sub)
+            candidates = [dfs_cone_ordering(sub)]
+            if self.mode == "warm":
+                vertex_set = set(graph.vertices)
+                restricted = [
+                    [net for net in order if net in vertex_set]
+                    for order in seeds
+                ]
+                result = warm_min_cut_arrangement(
+                    graph,
+                    restricted,
+                    seed=self.seed,
+                    leaf_size=self.leaf_size,
+                    candidate_orders=candidates,
+                )
+                width = result.cutwidth
+                if any(
+                    len(order) == graph.num_vertices for order in restricted
+                ):
+                    self.stats.warm_starts += 1
+                else:
+                    self.stats.cold_runs += 1
             else:
+                # Parity path: the exact historical estimator call, so
+                # the deduplicated sweep is bit-identical to the old
+                # per-fault loop.
+                width = estimate_cutwidth(
+                    graph,
+                    seed=self.seed,
+                    leaf_size=self.leaf_size,
+                    candidate_orders=candidates,
+                )
                 self.stats.cold_runs += 1
-        else:
-            # Parity path: the exact historical estimator call, so the
-            # deduplicated sweep is bit-identical to the old per-fault loop.
-            width = estimate_cutwidth(
-                graph,
-                seed=self.seed,
-                leaf_size=self.leaf_size,
-                candidate_orders=candidates,
-            )
-            self.stats.cold_runs += 1
-        self.stats.arrange_time += time.perf_counter() - start
 
         k_fo: Optional[int] = None
         bound: Optional[int] = None
@@ -351,20 +313,19 @@ class _ShardAnalyzer:
         observing cone — dead fanout branches — go first, matching the
         DFS-cone idiom of placing out-of-cone nets up front.
         """
-        start = time.perf_counter()
         merged: dict[str, None] = {}
-        for output in observing:
-            order = self._cone_orders.get(output)
-            if order is None:
-                self.stats.cone_cache_misses += 1
-                cone = self.network.output_cone(output)
-                order = mla_ordering(cone, seed=self.seed).order
-                self._cone_orders[output] = order
-            else:
-                self.stats.cone_cache_hits += 1
-            for net in order:
-                merged[net] = None
-        self.stats.cone_time += time.perf_counter() - start
+        with span(self.stats, "cone"):
+            for output in observing:
+                order = self._cone_orders.get(output)
+                if order is None:
+                    self.stats.cone_cache_misses += 1
+                    cone = self.network.output_cone(output)
+                    order = mla_ordering(cone, seed=self.seed).order
+                    self._cone_orders[output] = order
+                else:
+                    self.stats.cone_cache_hits += 1
+                for net in order:
+                    merged[net] = None
         outside = [
             net
             for net in self.network.topological_order()
@@ -538,32 +499,31 @@ class WidthAnalysisPipeline:
         fault rank reproduces the sequential sweep bit-for-bit no matter
         how shards were packed, split, or retried.
         """
-        merge_start = time.perf_counter()
-        rank = {fault: index for index, fault in enumerate(chosen)}
         stats = WidthStudyStats()
-        samples: list[FaultWidthSample] = []
-        unobservable: list[Fault] = []
-        for result in report.results:
-            samples.extend(result.samples)
-            unobservable.extend(result.unobservable)
-            stats.merge(result.stats)
-        samples.sort(key=lambda sample: rank[sample.fault])
-        unobservable.sort(key=lambda fault: rank[fault])
+        with span(stats, "merge"):
+            rank = {fault: index for index, fault in enumerate(chosen)}
+            samples: list[FaultWidthSample] = []
+            unobservable: list[Fault] = []
+            for result in report.results:
+                samples.extend(result.samples)
+                unobservable.extend(result.unobservable)
+                stats.merge(result.stats)
+            samples.sort(key=lambda sample: rank[sample.fault])
+            unobservable.sort(key=lambda fault: rank[fault])
 
-        skipped: list[tuple[Fault, str]] = []
-        for failed in report.failed:
-            for fault in failed.job.faults:
-                skipped.append((fault, failed.reason))
-        skipped.sort(key=lambda pair: rank[pair[0]])
+            skipped: list[tuple[Fault, str]] = []
+            for failed in report.failed:
+                for fault in failed.job.faults:
+                    skipped.append((fault, failed.reason))
+            skipped.sort(key=lambda pair: rank[pair[0]])
 
-        stats.health.merge(report.health)
-        reasons: dict[str, int] = {}
-        for _, reason in skipped:
-            reasons[reason] = reasons.get(reason, 0) + 1
-        stats.health.abort_reasons = reasons
-        stats.workers = self.workers if use_pool else 1
-        stats.shards = num_shards
-        stats.merge_time = time.perf_counter() - merge_start
+            stats.health.merge(report.health)
+            reasons: dict[str, int] = {}
+            for _, reason in skipped:
+                reasons[reason] = reasons.get(reason, 0) + 1
+            stats.health.abort_reasons = reasons
+            stats.workers = self.workers if use_pool else 1
+            stats.shards = num_shards
         stats.wall_time = time.perf_counter() - wall_start
         return WidthStudyReport(
             circuit=self.network.name,

@@ -74,7 +74,7 @@ clause observed true.  While the blocker holds, a watch visit is two
 list reads and a compare — no arena access, no literal swap.
 
 The kernel is required to stay **bit-identical** to the object-graph
-reference implementation (:mod:`repro.sat.cdcl_ref`) — same verdicts,
+reference implementation (``tests/sat/cdcl_ref.py``) — same verdicts,
 same propagation/decision/conflict/restart counters, same DRUP proofs —
 because both perform the same binary-first propagation and the same
 in-place literal permutations in the same order;

@@ -62,6 +62,7 @@ from typing import Optional
 from repro.io.atomic import StorageError
 from repro.io.bench import BenchFormatError, loads_bench
 from repro.circuits.validate import ValidationError, check_network
+from repro.obs import Counters
 from repro.service.budgets import (
     AdmissionController,
     BackpressureConfig,
@@ -127,7 +128,7 @@ class ServiceConfig:
 
 
 @dataclass
-class ServiceTotals:
+class ServiceTotals(Counters):
     """Monotonic per-process counters surfaced at /healthz.
 
     ``solver_sat_calls`` sums the ``sat_calls`` of every result produced
@@ -154,9 +155,6 @@ class ServiceTotals:
     lease_lost: int = 0
     adoption_exhausted: int = 0
     storage_errors: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 class AtpgService:
@@ -536,8 +534,20 @@ class AtpgService:
     async def _monitor_runner(self, job_id: str, process) -> None:
         while process.is_alive():
             await asyncio.sleep(_TICK)
+        self._settle_runner(job_id, process)
+
+    def _settle_runner(self, job_id: str, process) -> None:
+        """Post-exit bookkeeping of one exited runner: totals, lease,
+        re-queue after a crash.
+
+        Runs from the runner's monitor task and from :meth:`healthz`,
+        whichever sees the exit first; taking the runner out of
+        ``running`` guards it, so every runner is counted exactly once.
+        """
+        if self.running.get(job_id) is not process:
+            return
+        del self.running[job_id]
         process.join()
-        self.running.pop(job_id, None)
         lease = self.leases.pop(job_id, None)
         owned = lease is not None and lease.token is not None
         try:
@@ -642,6 +652,9 @@ class AtpgService:
 
     # -- views ----------------------------------------------------------
     def healthz(self) -> dict:
+        for job_id, process in list(self.running.items()):
+            if not process.is_alive():
+                self._settle_runner(job_id, process)
         return {
             "state": "draining" if self.draining else "serving",
             "node_id": self.node_id,

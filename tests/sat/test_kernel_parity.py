@@ -1,7 +1,7 @@
 """Flat-arena kernel vs object-graph reference: bit-identical parity.
 
 The production :class:`~repro.sat.cdcl.CdclCore` packs clauses into a
-flat integer arena; :class:`~repro.sat.cdcl_ref.ReferenceCdclCore` is
+flat integer arena; :class:`~tests.sat.cdcl_ref.ReferenceCdclCore` is
 the original object-graph implementation kept verbatim as an executable
 specification.  Because both perform the same literal-order permutations
 in the same order, they are required to agree not just on verdicts but
@@ -15,10 +15,10 @@ and compares trajectories exactly.
 import pytest
 
 from repro.sat.cdcl import CdclCore
-from repro.sat.cdcl_ref import ReferenceCdclCore
 from repro.sat.compile import compile_formula, lit_of
 from repro.sat.drup import DrupLog
 from repro.sat.result import SatStatus
+from tests.sat.cdcl_ref import ReferenceCdclCore
 from tests.sat.test_fuzz_cdcl import FUZZ_SEEDS, iter_miter_formulas
 
 

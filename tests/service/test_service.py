@@ -4,8 +4,10 @@ in test_chaos.py."""
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import json
+import multiprocessing
 
 import pytest
 
@@ -484,6 +486,38 @@ class TestServiceSubmit:
         assert svc2.recover() == 1
         assert svc2.queue == [job_id]
         assert svc2.totals.recovered == 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="service runners fork",
+    )
+    def test_healthz_counts_an_exited_runner(self, tmp_path):
+        """/healthz settles a runner that has exited before the
+        runner's monitor task next polls it, and the monitor then
+        counts nothing twice."""
+        svc = self._service(tmp_path)
+        status, doc = svc.submit(C17_BENCH)
+        assert status == 202
+        job_id = doc["job"]["id"]
+
+        async def scenario() -> None:
+            svc.queue.remove(job_id)
+            svc._start_runner(job_id)
+            process = svc.running[job_id]
+            process.join()  # the monitor task has not run since
+            assert process.exitcode == 0
+            assert svc.job_view(job_id)["job"]["state"] == "done"
+            health = svc.healthz()
+            assert health["running"] == 0
+            assert health["totals"]["completed"] == 1
+            sat_calls = svc.store.load_result(job_id)["stats"]["sat_calls"]
+            assert health["totals"]["solver_sat_calls"] == sat_calls
+            assert health["held_leases"] == []
+            await asyncio.sleep(0.2)  # the monitor task sees the exit
+            assert svc.healthz()["totals"]["completed"] == 1
+            assert svc.totals.solver_sat_calls == sat_calls
+
+        asyncio.run(scenario())
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,28 @@
-"""Pins of the CLI surface and of the service's cache identity.
+"""Pins of the CLI surface, the service's cache identity and the
+stats schemas.
 
 The job key is a content address in the result cache: if a refactor
 changes its bytes, every cached result silently becomes unreachable.
 The CLI option table pins, per subcommand, every option string and its
 default, so moving declarations into shared parsers changes nothing a
-user can type.
+user can type.  The stats schemas pin the key paths and value types of
+every stats document a consumer parses (``--bench-json``, ``/healthz``,
+the service's result document), so a change to how the counters are
+declared cannot drop, rename or retype a key.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 
-from repro.cli import build_parser
-from repro.gen.benchmarks import c17
+from repro.atpg.options import AtpgOptions
+from repro.atpg.parallel import ParallelAtpgEngine
+from repro.cli import build_parser, main
+from repro.gen.benchmarks import C17_BENCH, c17
 from repro.service.hashing import canonical_job_key
+from repro.service.runner import result_document
+from repro.service.server import AtpgService, ServiceConfig
 
 
 #: canonical_job_key(c17, overrides) for the service defaults and two
@@ -164,3 +173,171 @@ def _option_table(parser: argparse.ArgumentParser) -> dict:
 
 def test_cli_option_strings_and_defaults_pinned():
     assert _option_table(build_parser()) == CLI_OPTIONS
+
+
+# ----------------------------------------------------------------------
+# stats schemas
+# ----------------------------------------------------------------------
+def _schema(value, prefix: str = "") -> dict[str, str]:
+    """Key path -> value type name of a JSON document; ``[]`` marks a
+    list element, and empty containers are leaves."""
+    if isinstance(value, dict) and value:
+        out: dict[str, str] = {}
+        for key, item in value.items():
+            out.update(_schema(item, f"{prefix}.{key}" if prefix else key))
+        return out
+    if isinstance(value, list) and value:
+        out = {}
+        for item in value:
+            out.update(_schema(item, prefix + "[]"))
+        return out
+    return {prefix: type(value).__name__}
+
+
+_HEALTH_SCHEMA = {
+    "retries": "int",
+    "backoff_delays": "list",
+    "timed_out_shards": "int",
+    "crashed_shards": "int",
+    "shard_splits": "int",
+    "degraded": "bool",
+    "deadline_hit": "bool",
+    "abort_reasons": "dict",
+    "certified": "int",
+    "uncertified": "int",
+    "disagreements": "int",
+    "escalations": "int",
+}
+
+#: ``EngineStats.as_dict()`` of a c17 run.
+ENGINE_STATS_SCHEMA = {
+    "stage_times.build": "float",
+    "stage_times.encode": "float",
+    "stage_times.solve": "float",
+    "stage_times.fsim": "float",
+    "wall_time": "float",
+    "sat_calls": "int",
+    "cache_hits": "int",
+    "cache_misses": "int",
+    "cache_hit_rate": "float",
+    "good_sims": "int",
+    "cone_sims": "int",
+    "workers": "int",
+    "shards": "int",
+    "replay_solves": "int",
+    "propagations": "int",
+    "decisions": "int",
+    "conflicts": "int",
+    "shared_promoted": "int",
+    "shared_injected": "int",
+    "shared_active_solves": "int",
+    "shared_hit_rate": "float",
+    "budget_escalations": "int",
+    "hard_routed": "int",
+    **{f"health.{key}": kind for key, kind in _HEALTH_SCHEMA.items()},
+    "propagations_per_sec": "float",
+    "decisions_per_sec": "float",
+    "conflicts_per_sec": "float",
+}
+
+#: ``repro width-study <c17> --bench-json``.
+WIDTH_BENCH_SCHEMA = {
+    "circuit": "str",
+    "mode": "str",
+    "seed": "int",
+    "n_faults": "int",
+    "n_samples": "int",
+    "n_unobservable": "int",
+    "n_skipped": "int",
+    "max_cutwidth": "int",
+    "stats.stage_times.signature": "float",
+    "stats.stage_times.cone": "float",
+    "stats.stage_times.arrange": "float",
+    "stats.stage_times.merge": "float",
+    "stats.wall_time": "float",
+    "stats.sub_cache_hits": "int",
+    "stats.sub_cache_misses": "int",
+    "stats.cache_hit_rate": "float",
+    "stats.cone_cache_hits": "int",
+    "stats.cone_cache_misses": "int",
+    "stats.warm_starts": "int",
+    "stats.cold_runs": "int",
+    "stats.workers": "int",
+    "stats.shards": "int",
+    **{f"stats.health.{key}": kind for key, kind in _HEALTH_SCHEMA.items()},
+    "faults_per_sec": "float",
+}
+
+#: ``AtpgService.healthz()`` of a fresh service at default settings.
+HEALTHZ_SCHEMA = {
+    "state": "str",
+    "node_id": "str",
+    "queue_depth": "int",
+    "running": "int",
+    "held_leases": "list",
+    "lease_ttl_s": "float",
+    "uptime_s": "float",
+    "totals.submitted": "int",
+    "totals.deduped": "int",
+    "totals.cache_hits": "int",
+    "totals.refused": "int",
+    "totals.degraded_admissions": "int",
+    "totals.completed": "int",
+    "totals.failed": "int",
+    "totals.recovered": "int",
+    "totals.runner_crashes": "int",
+    "totals.solver_sat_calls": "int",
+    "totals.lease_steals": "int",
+    "totals.lease_lost": "int",
+    "totals.adoption_exhausted": "int",
+    "totals.storage_errors": "int",
+    "cache.hits": "int",
+    "cache.misses": "int",
+    "cache.evictions": "int",
+    "cache.size_evictions": "int",
+    "cache.write_errors": "int",
+    "cache.max_bytes": "NoneType",
+    "cache.current_bytes": "int",
+}
+
+
+def _bench_json(tmp_path, command: str, *options: str) -> dict:
+    """``repro <command> <c17> <options> --bench-json``'s document."""
+    netlist = tmp_path / "c17.bench"
+    netlist.write_text(C17_BENCH)
+    out = tmp_path / "bench.json"
+    argv = [command, str(netlist), *options, "--bench-json", str(out)]
+    assert main(argv) == 0
+    return json.loads(out.read_text())
+
+
+def test_atpg_bench_json_stats_schema(tmp_path, capsys):
+    payload = _bench_json(tmp_path, "atpg")
+    assert _schema(payload["stats"]) == ENGINE_STATS_SCHEMA
+    assert "worker_stats" not in payload
+
+
+def test_parallel_atpg_bench_json_stats_schema(tmp_path, capsys):
+    payload = _bench_json(tmp_path, "atpg", "--workers", "2")
+    assert _schema(payload["stats"]) == ENGINE_STATS_SCHEMA
+    assert _schema(payload["worker_stats"]) == {
+        f"[].{path}": kind for path, kind in ENGINE_STATS_SCHEMA.items()
+    }
+
+
+def test_width_study_bench_json_schema(tmp_path, capsys):
+    assert _schema(_bench_json(tmp_path, "width-study")) == WIDTH_BENCH_SCHEMA
+
+
+def test_healthz_schema(tmp_path):
+    service = AtpgService(ServiceConfig(data_dir=tmp_path))
+    assert _schema(service.healthz()) == HEALTHZ_SCHEMA
+
+
+def test_result_document_stats_schema():
+    options = AtpgOptions(solver_mode="fresh", certify="witness")
+    summary = ParallelAtpgEngine(c17(), options).run()
+    meta = {"id": "job", "job_key": "k", "circuit_hash": "h", "options": {}}
+    assert _schema(result_document(meta, summary)["stats"]) == (
+        ENGINE_STATS_SCHEMA
+    )

@@ -46,6 +46,7 @@ from repro.atpg.options import AtpgOptions
 from repro.circuits.decompose import tech_decompose
 from repro.circuits.simulate import pack_patterns, simulate
 from repro.gen.random_circuits import RandomCircuitSpec, random_circuit
+from repro.obs import rates
 from repro.sat.cdcl import CdclCore
 from repro.sat.compile import lit_of
 from repro.sat.result import SolverStats
@@ -59,18 +60,20 @@ def one_run(network, faults):
     cpu = time.process_time() - cpu0
     wall = time.perf_counter() - wall0
     stats = result.stats
-    solve = stats.stage_times()["solve"]
+    solve = stats.solve_time
     solve_cpu = solve * (cpu / wall) if wall else solve
+
+    def props_per_sec(seconds):
+        return rates(stats, seconds, ("propagations",))["propagations_per_sec"]
+
     return {
         "propagations": stats.propagations,
         "conflicts": stats.conflicts,
         "sat_calls": stats.sat_calls,
         "solve_time_s": solve,
         "solve_time_cpu_s": solve_cpu,
-        "propagations_per_sec": stats.propagations / solve if solve else 0.0,
-        "propagations_per_sec_cpu": (
-            stats.propagations / solve_cpu if solve_cpu else 0.0
-        ),
+        "propagations_per_sec": props_per_sec(solve),
+        "propagations_per_sec_cpu": props_per_sec(solve_cpu),
         "shared_promoted": stats.shared_promoted,
         "shared_injected": stats.shared_injected,
         "shared_hit_rate": stats.shared_hit_rate,
