@@ -9,10 +9,9 @@ reproduce exactly that model-selection step.
 from __future__ import annotations
 
 import math
+import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass
@@ -36,31 +35,31 @@ class FitResult:
         raise ValueError(f"unknown model {self.model!r}")
 
 
-def _sse_and_r2(y: np.ndarray, predictions: np.ndarray) -> tuple[float, float]:
-    residual = y - predictions
-    sse = float(np.dot(residual, residual))
-    total = float(np.dot(y - y.mean(), y - y.mean()))
+def _sse_and_r2(
+    y: Sequence[float], predictions: Sequence[float]
+) -> tuple[float, float]:
+    sse = math.fsum((v - p) ** 2 for v, p in zip(y, predictions))
+    mean = statistics.fmean(y)
+    total = math.fsum((v - mean) ** 2 for v in y)
     r_squared = 1.0 - sse / total if total > 0 else 1.0
     return sse, r_squared
 
 
 def fit_linear(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Least-squares fit of y = a·x + b."""
-    xa, ya = np.asarray(x, float), np.asarray(y, float)
-    a, b = np.polyfit(xa, ya, 1)
-    sse, r2 = _sse_and_r2(ya, a * xa + b)
-    return FitResult("linear", float(a), float(b), sse, r2)
+    a, b = statistics.linear_regression(x, y)
+    sse, r2 = _sse_and_r2(y, [a * v + b for v in x])
+    return FitResult("linear", a, b, sse, r2)
 
 
 def fit_log(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Least-squares fit of y = a·log(x) + b (natural log)."""
-    xa, ya = np.asarray(x, float), np.asarray(y, float)
-    if np.any(xa <= 0):
+    if any(v <= 0 for v in x):
         raise ValueError("log fit requires positive x values")
-    lx = np.log(xa)
-    a, b = np.polyfit(lx, ya, 1)
-    sse, r2 = _sse_and_r2(ya, a * lx + b)
-    return FitResult("log", float(a), float(b), sse, r2)
+    lx = [math.log(v) for v in x]
+    a, b = statistics.linear_regression(lx, y)
+    sse, r2 = _sse_and_r2(y, [a * v + b for v in lx])
+    return FitResult("log", a, b, sse, r2)
 
 
 def fit_power(x: Sequence[float], y: Sequence[float]) -> FitResult:
@@ -71,17 +70,17 @@ def fit_power(x: Sequence[float], y: Sequence[float]) -> FitResult:
     which is evaluated in the original y-space as the paper's
     least-squares comparison requires.
     """
-    xa, ya = np.asarray(x, float), np.asarray(y, float)
-    if np.any(xa <= 0):
+    if any(v <= 0 for v in x):
         raise ValueError("power fit requires positive x values")
-    keep = ya > 0
-    if keep.sum() < 2:
+    kept = [(u, v) for u, v in zip(x, y) if v > 0]
+    if len(kept) < 2:
         raise ValueError("power fit needs at least two positive y values")
-    coeff_b, log_a = np.polyfit(np.log(xa[keep]), np.log(ya[keep]), 1)
+    coeff_b, log_a = statistics.linear_regression(
+        [math.log(u) for u, _ in kept], [math.log(v) for _, v in kept]
+    )
     a = math.exp(log_a)
-    predictions = a * xa**coeff_b
-    sse, r2 = _sse_and_r2(ya, predictions)
-    return FitResult("power", float(a), float(coeff_b), sse, r2)
+    sse, r2 = _sse_and_r2(y, [a * u**coeff_b for u in x])
+    return FitResult("power", a, coeff_b, sse, r2)
 
 
 def best_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:

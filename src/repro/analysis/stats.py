@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
+import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass
@@ -25,15 +24,22 @@ def summarize(values: Sequence[float]) -> Summary:
     """Summary statistics of ``values`` (empty input yields zeros)."""
     if not values:
         return Summary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    arr = np.asarray(values, float)
+    data = [float(v) for v in values]
+    # "inclusive" is linear interpolation between order statistics (the
+    # numpy percentile default); quantiles() needs two points before 3.13.
+    cuts = (
+        statistics.quantiles(data, n=100, method="inclusive")
+        if len(data) > 1
+        else data * 99
+    )
     return Summary(
-        count=len(arr),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        p90=float(np.percentile(arr, 90)),
-        p99=float(np.percentile(arr, 99)),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
+        count=len(data),
+        mean=statistics.fmean(data),
+        median=statistics.median(data),
+        p90=cuts[89],
+        p99=cuts[98],
+        minimum=min(data),
+        maximum=max(data),
     )
 
 
@@ -41,8 +47,7 @@ def fraction_below(values: Sequence[float], threshold: float) -> float:
     """Fraction of samples strictly below ``threshold``."""
     if not values:
         return 0.0
-    arr = np.asarray(values, float)
-    return float((arr < threshold).mean())
+    return sum(v < threshold for v in values) / len(values)
 
 
 def format_table(

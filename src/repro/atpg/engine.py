@@ -367,10 +367,7 @@ class AtpgEngine:
     @property
     def incremental(self) -> bool:
         """True when faults are solved on persistent per-cone solvers."""
-        return (
-            self.options.solver_mode == "incremental"
-            and self.options.solver == "cdcl"
-        )
+        return self.options.effective_solver_mode == "incremental"
 
     @property
     def hardness_guided(self) -> bool:

@@ -115,6 +115,12 @@ class AtpgOptions:
         if self.shard_timeout is not None and not self.shard_timeout > 0:
             raise ValueError("shard_timeout must be > 0 seconds")
 
+    @property
+    def effective_solver_mode(self) -> str:
+        """The mode faults are really solved in: ``solver_mode`` for the
+        CDCL backend, ``fresh`` for every other backend."""
+        return self.solver_mode if self.solver == "cdcl" else "fresh"
+
     def result_fields(self) -> dict:
         """The record-determining projection (job key, journal header)."""
         return {name: getattr(self, name) for name in self.RESULT_FIELDS}

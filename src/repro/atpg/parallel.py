@@ -355,7 +355,7 @@ class ParallelAtpgEngine:
                     ResumeRejectedRecordsWarning,
                     stacklevel=2,
                 )
-            if settled and options.solver_mode == "incremental":
+            if settled and options.effective_solver_mode == "incremental":
                 warnings.warn(
                     "resuming in incremental solver mode: coverage and "
                     "SAT/UNSAT verdicts match an uninterrupted run, but "

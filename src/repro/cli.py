@@ -212,7 +212,7 @@ def _load_netlist(path: str):
     return load_bench(path)
 
 
-def _bench_payload(summary, solver: str, solver_mode: str = "incremental") -> dict:
+def _bench_payload(summary, options) -> dict:
     """The ``--bench-json`` document for an ATPG summary.
 
     Schema (documented in README.md § Performance):
@@ -226,8 +226,8 @@ def _bench_payload(summary, solver: str, solver_mode: str = "incremental") -> di
     wall = summary.stats.wall_time
     payload = {
         "circuit": summary.circuit,
-        "solver": solver,
-        "solver_mode": solver_mode,
+        "solver": options.solver,
+        "solver_mode": options.effective_solver_mode,
         "faults": len(summary.records),
         "status_counts": summary.status_counts(),
         "fault_coverage": summary.fault_coverage,
@@ -274,10 +274,11 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     network = _load_netlist(args.netlist)
     if args.decompose:
         network = tech_decompose(network)
+    options = _atpg_options(args)
     try:
         summary = run_atpg(
             network,
-            _atpg_options(args),
+            options,
             resume_from=args.resume,
             # Resuming keeps journaling to the same file unless
             # --checkpoint names another.
@@ -351,7 +352,7 @@ def _cmd_atpg(args: argparse.Namespace) -> int:
     if args.bench_json:
         from repro.io.atomic import atomic_write_json
 
-        payload = _bench_payload(summary, args.solver, args.solver_mode)
+        payload = _bench_payload(summary, options)
         atomic_write_json(args.bench_json, payload)
         print(f"  bench json -> {args.bench_json}")
     if args.compact:

@@ -17,10 +17,10 @@ Two statistics are reported:
 
 from __future__ import annotations
 
+import math
+import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.atpg.faults import collapse_faults
 from repro.atpg.miter import UnobservableFault, build_atpg_circuit
@@ -45,6 +45,15 @@ class WidthEffortPoint:
     bound_holds: bool
 
 
+def _average_ranks(values: list[float]) -> list[float]:
+    """1-based ranks of ``values``, ties sharing their average rank."""
+    ordered = sorted(values)
+    return [
+        (bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2
+        for v in values
+    ]
+
+
 @dataclass
 class WidthEffortReport:
     """The correlation study."""
@@ -56,10 +65,12 @@ class WidthEffortReport:
         """Rank correlation between cut-width and log node count."""
         if len(self.points) < 3:
             return float("nan")
-        widths = [p.cutwidth for p in self.points]
-        efforts = [np.log1p(p.nodes) for p in self.points]
-        rho, _ = scipy_stats.spearmanr(widths, efforts)
-        return float(rho)
+        widths = _average_ranks([p.cutwidth for p in self.points])
+        efforts = _average_ranks([math.log1p(p.nodes) for p in self.points])
+        try:
+            return statistics.correlation(widths, efforts)
+        except statistics.StatisticsError:  # a constant column
+            return float("nan")
 
     @property
     def all_bounds_hold(self) -> bool:

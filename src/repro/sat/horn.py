@@ -12,16 +12,17 @@ empirically on our own ATPG-SAT instances:
   Horn; reduces to 2-SAT over "is variable switched?" indicators.
 * q-Horn: there is a valuation α : vars → [0, 1] with
   Σ_{l ∈ C} α(l) ≤ 1 for every clause C, where α(x̄) = 1 − α(x)
-  (Boros et al.'s LP characterisation).  Checked with an LP feasibility
-  problem; Horn, hidden Horn and 2-SAT are all subclasses.
+  (Boros et al.'s LP characterisation).  Checked as a SAT problem over
+  half-integral valuations; Horn, hidden Horn and 2-SAT are all
+  subclasses.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import linprog
+from itertools import combinations, permutations
 
-from repro.sat.cnf import CnfFormula
+from repro.sat.cdcl import CdclSolver
+from repro.sat.cnf import CnfFormula, Literal, clause, neg, pos
 
 
 def is_horn(formula: CnfFormula) -> bool:
@@ -138,37 +139,40 @@ def is_hidden_horn(formula: CnfFormula) -> bool:
 
 
 def is_q_horn(formula: CnfFormula) -> bool:
-    """True iff the formula is q-Horn (Boros–Crama–Hammer LP test).
+    """True iff the formula is q-Horn (Boros–Crama–Hammer).
 
-    Feasibility of: find α ∈ [0,1]^n with, for every clause C,
-    ``Σ_{x ∈ C+} α_x + Σ_{x ∈ C-} (1 − α_x) ≤ 1``.
+    q-Horn asks for α ∈ [0,1]^n with, for every clause C,
+    ``Σ_{x ∈ C+} α_x + Σ_{x ∈ C-} (1 − α_x) ≤ 1``.  Rounding a feasible
+    α to {0, ½, 1} (below ½ to 0, above ½ to 1) keeps it feasible: a
+    literal worth more than ½ leaves the rest of its clause below ½, and
+    at most two literals of a clause can be worth exactly ½.  So the
+    half-integral valuations suffice, and choosing one is a SAT problem
+    solved here with :class:`~repro.sat.cdcl.CdclSolver`:
+
+    * per variable x, ``h_x`` means α_x = ½; otherwise ``t_x`` means
+      α_x = 1 and ``¬t_x`` means α_x = 0;
+    * per clause, no literal worth 1 beside another literal worth more
+      than 0, and no three literals each worth ½.
     """
-    variables = list(formula.variables)
-    if not variables or not formula.clauses:
-        return True
-    index = {name: i for i, name in enumerate(variables)}
-    n = len(variables)
-    rows = []
-    rhs = []
-    for clause in formula.clauses:
-        row = np.zeros(n)
-        bound = 1.0
-        for lit in clause:
-            if lit.positive:
-                row[index[lit.variable]] += 1.0
-            else:
-                row[index[lit.variable]] -= 1.0
-                bound -= 1.0
-        rows.append(row)
-        rhs.append(bound)
-    result = linprog(
-        c=np.zeros(n),
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-    )
-    return bool(result.success)
+    index = {name: i for i, name in enumerate(formula.variables)}
+
+    def half(lit: Literal) -> Literal:
+        return pos(f"h{index[lit.variable]}")
+
+    def whole(lit: Literal) -> Literal:
+        """Worth 1 unless ``half(lit)``; worth 0 when both are false."""
+        t = f"t{index[lit.variable]}"
+        return pos(t) if lit.positive else neg(t)
+
+    choice = []
+    for original in formula.clauses:
+        for a, b in permutations(original, 2):
+            # ¬(a worth 1 ∧ b worth more than 0)
+            choice.append(clause(half(a), ~whole(a), ~half(b)))
+            choice.append(clause(half(a), ~whole(a), ~whole(b)))
+        for a, b, c in combinations(original, 3):
+            choice.append(clause(~half(a), ~half(b), ~half(c)))
+    return CdclSolver().solve(CnfFormula(choice)).is_sat
 
 
 def classify(formula: CnfFormula) -> dict[str, bool]:

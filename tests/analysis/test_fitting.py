@@ -88,3 +88,10 @@ class TestModelSelection:
         fits = all_fits(x, y)
         chosen = best_fit(x, y)
         assert chosen.sse == min(fit.sse for fit in fits.values())
+
+    def test_constant_x_is_not_fitted(self):
+        # A vertical scatter has no least-squares line; the model is
+        # skipped rather than returning a degenerate fit.
+        with pytest.raises(ValueError):
+            fit_linear([3, 3, 3], [1, 2, 3])
+        assert all_fits([3, 3, 3], [1, 2, 3]) == {}

@@ -1,5 +1,7 @@
 """Tests for summary statistics helpers."""
 
+import pytest
+
 from repro.analysis.stats import format_table, fraction_below, summarize
 
 
@@ -16,6 +18,20 @@ class TestSummarize:
         assert summary.median == 2.5
         assert summary.minimum == 1.0
         assert summary.maximum == 4.0
+
+    def test_single_point(self):
+        # statistics.quantiles rejects one point before Python 3.13.
+        summary = summarize([3.5])
+        assert summary.count == 1
+        assert summary.mean == summary.median == 3.5
+        assert summary.p90 == summary.p99 == 3.5
+        assert summary.minimum == summary.maximum == 3.5
+
+    def test_linear_percentiles(self):
+        # Linear interpolation between order statistics (numpy's default).
+        summary = summarize([10.0, 0.0, 20.0, 30.0])
+        assert summary.p90 == pytest.approx(27.0)
+        assert summary.p99 == pytest.approx(29.7)
 
     def test_percentiles_ordered(self):
         summary = summarize(list(range(100)))

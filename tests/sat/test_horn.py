@@ -1,5 +1,8 @@
 """Tests for the Section 3.1 easy-class recognisers."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,3 +123,64 @@ class TestAtpgSatNotEasy:
         assert not labels["2sat"]
         # The decisive claim:
         assert not labels["q_horn"]
+
+
+def _random_cnf(rng):
+    num_vars = rng.randint(2, 9)
+    clauses = []
+    for _ in range(rng.randint(1, 10)):
+        width = rng.randint(1, min(5, num_vars))
+        chosen = rng.sample(range(1, num_vars + 1), width)
+        clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
+    return formula_from_ints(clauses)
+
+
+def _oracle_formulas():
+    """Circuit and miter formulas of a few suite circuits, plus a
+    one-gate circuit whose (Horn) formula is q-Horn."""
+    from repro.atpg.faults import collapse_faults
+    from repro.atpg.miter import build_atpg_circuit
+    from repro.gen.benchmarks import load_circuit
+
+    builder = NetworkBuilder()
+    a, b = builder.inputs(2)
+    builder.outputs(builder.and_(a, b, name="z"))
+    yield "and2.circuit", circuit_sat_formula(builder.build())
+    for suite, name in (("iscas", "c17"), ("mcnc", "dec4"), ("mcnc", "mux4")):
+        network = load_circuit(suite, name)
+        yield f"{name}.circuit", circuit_sat_formula(network)
+        for fault in collapse_faults(network)[:3]:
+            yield f"{name}.{fault}", build_atpg_circuit(network, fault).formula()
+
+
+class TestQHornAgainstLp:
+    """The half-integral SAT check agrees with the Boros–Crama–Hammer LP."""
+
+    def test_random_cnfs(self):
+        pytest.importorskip("scipy")
+        from tests.sat.qhorn_lp_ref import is_q_horn_lp
+
+        rng = random.Random(20240615)
+        verdicts = []
+        disagreements = []
+        for trial in range(500):
+            formula = _random_cnf(rng)
+            expected = is_q_horn_lp(formula)
+            verdicts.append(expected)
+            if is_q_horn(formula) != expected:
+                disagreements.append((trial, sorted(map(sorted, formula.clauses))))
+        assert disagreements == []
+        assert any(verdicts) and not all(verdicts)
+
+    def test_circuit_and_miter_formulas(self):
+        pytest.importorskip("scipy")
+        from tests.sat.qhorn_lp_ref import is_q_horn_lp
+
+        verdicts = {}
+        disagreements = []
+        for label, formula in _oracle_formulas():
+            verdicts[label] = is_q_horn_lp(formula)
+            if is_q_horn(formula) != verdicts[label]:
+                disagreements.append(label)
+        assert disagreements == []
+        assert verdicts["and2.circuit"] and not verdicts["c17.circuit"]

@@ -227,6 +227,31 @@ class TestAtpgPerfFlags:
         assert health["degraded"] is False
         assert health["abort_reasons"] == {}
 
+    @pytest.mark.parametrize(
+        "solver, mode, expected",
+        [
+            ("dpll", "incremental", "fresh"),
+            ("cdcl", "incremental", "incremental"),
+            ("cdcl", "fresh", "fresh"),
+        ],
+    )
+    def test_bench_json_reports_effective_solver_mode(
+        self, tmp_path, capsys, solver, mode, expected
+    ):
+        """Non-CDCL backends always solve fresh, whatever --solver-mode
+        asks for; the bench document reports the mode really used."""
+        import json
+
+        path = tmp_path / "c17.bench"
+        path.write_text(C17_BENCH)
+        out_json = tmp_path / "bench.json"
+        argv = ["atpg", str(path), "--solver", solver, "--solver-mode", mode]
+        assert main(argv + ["--bench-json", str(out_json)]) == 0
+        capsys.readouterr()
+        payload = json.loads(out_json.read_text())
+        assert payload["solver"] == solver
+        assert payload["solver_mode"] == expected
+
     def test_atpg_order_and_block_size(self, tmp_path, capsys):
         path = tmp_path / "c17.bench"
         path.write_text(C17_BENCH)
